@@ -1,16 +1,14 @@
-//! Ablation: the FEM reference's linear-solver options — plain CG,
-//! Jacobi-, SSOR-, and multigrid-preconditioned CG, and the direct banded
-//! factorization `FemSolver::Auto` picks on these meshes — at two mesh
+//! Ablation: the FEM reference's two linear solvers — multigrid-
+//! preconditioned CG and the direct banded factorization — at two mesh
 //! resolutions.
 //!
-//! This is the evidence behind the PR-2 hot-path rework: iteration counts
-//! fall roughly 6× from SSOR to the smoothed-aggregation multigrid
-//! V-cycle, and the direct banded path beats them all while the
-//! lexicographic bandwidth stays small (every axisymmetric mesh).
+//! This is the evidence for `FemSolver::Auto`'s rule: the direct banded
+//! path beats multigrid-PCG while the lexicographic half-bandwidth stays
+//! small (every axisymmetric mesh), so `Auto` picks it there.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use ttsv::fem::{FemPreconditioner, FemSolver};
+use ttsv::fem::FemSolver;
 use ttsv::prelude::*;
 use ttsv_bench::block;
 
@@ -24,14 +22,7 @@ fn bench(c: &mut Criterion) {
     ] {
         let reference = FemReference::new().with_resolution(resolution);
         for (solver_label, solver) in [
-            ("identity", FemSolver::Pcg(FemPreconditioner::Identity)),
-            ("jacobi", FemSolver::Pcg(FemPreconditioner::Jacobi)),
-            ("ssor", FemSolver::Pcg(FemPreconditioner::ssor())),
-            ("multigrid", FemSolver::Pcg(FemPreconditioner::multigrid())),
-            (
-                "multigrid_cheby",
-                FemSolver::Pcg(FemPreconditioner::multigrid_chebyshev(2)),
-            ),
+            ("multigrid", FemSolver::Multigrid),
             ("direct_banded", FemSolver::DirectBanded),
         ] {
             let problem = {

@@ -7,8 +7,7 @@
 //!   32 k-cell box — the tentpole saving: aggregation,
 //!   prolongator/Galerkin pattern discovery, and the transpose adjacency
 //!   happen once per mesh;
-//! * one V-cycle under the Jacobi vs the degree-3 Chebyshev smoother —
-//!   the per-PCG-iteration cost of the stronger relaxation;
+//! * one V-cycle — the per-PCG-iteration cost;
 //! * a radius sweep on the 3-D `CartesianReference` with a fresh
 //!   reference per run (every point re-aggregates) vs a shared one
 //!   (pooled hierarchies refreshed per point).
@@ -41,11 +40,6 @@ fn bench(c: &mut Criterion) {
     let jacobi = MultigridPreconditioner::new(&a1, &config).expect("coarsens");
     group.bench_function("vcycle_jacobi/box32k", |b| {
         b.iter(|| jacobi.apply(black_box(&r), &mut z))
-    });
-    let cheby =
-        MultigridPreconditioner::new(&a1, &MultigridConfig::chebyshev(3)).expect("coarsens");
-    group.bench_function("vcycle_chebyshev3/box32k", |b| {
-        b.iter(|| cheby.apply(black_box(&r), &mut z))
     });
 
     // End-to-end reuse on the workload where setup is a real fraction of

@@ -12,8 +12,7 @@
 
 use std::time::{Duration, Instant};
 
-use ttsv::core::model_b::LadderSolver;
-use ttsv::fem::{FemPreconditioner, FemSolver};
+use ttsv::fem::FemSolver;
 use ttsv::linalg::{MultigridConfig, MultigridHierarchy, MultigridPreconditioner, Preconditioner};
 use ttsv::prelude::*;
 use ttsv::validate::sweep::run_sweep;
@@ -40,16 +39,12 @@ const BASELINE_PR9_NS: &[(&str, u128)] = &[
     ("fig4_radius_sweep/model_b_100", 77_122),
     ("table1_segments/B(500)", 64_986),
     ("table1_segments/B(1000)", 172_017),
-    ("table1_segments/banded_lu/1000", 305_070),
-    ("ablation_fem_precond/ssor/coarse", 1_684_448),
     ("ablation_fem_precond/multigrid/coarse", 892_173),
-    ("ablation_fem_precond/multigrid_cheby/coarse", 1_030_382),
     ("ablation_fem_precond/direct_banded/coarse", 96_795),
     ("mg_hierarchy/build/box32k", 6_578_039),
     ("mg_hierarchy/refresh/box32k", 1_585_385),
     ("mg_hierarchy/refresh_flat/box32k", 6_375_282),
     ("mg_vcycle/jacobi/box32k", 871_143),
-    ("mg_vcycle/chebyshev3/box32k", 2_260_219),
     ("fem_mg_sweep/rebuild", 93_949_634),
     ("fem_mg_sweep/reuse", 73_632_158),
     ("floorplan_chip/hotspot32/model_b100", 122_667),
@@ -63,7 +58,6 @@ const BASELINE_PR9_NS: &[(&str, u128)] = &[
     ("serve/sustained_32req", 4_749_031),
     ("serve/sustained_fanout", 6_250_026),
     ("serve/parked_request", 49_313),
-    ("serve/parked_request_sweep", 207_822),
 ];
 
 struct Sampler {
@@ -211,28 +205,16 @@ fn main() {
     for (name, model) in [
         ("table1_segments/B(500)", ModelB::paper_b500()),
         ("table1_segments/B(1000)", ModelB::paper_b1000()),
-        (
-            "table1_segments/banded_lu/1000",
-            ModelB::paper_b1000().with_solver(LadderSolver::BandedLu),
-        ),
     ] {
         sampler.bench(name, || model.max_delta_t(&table1).expect("solvable"));
     }
 
-    // ablation_fem_precond at the coarse mesh: one solve per option.
+    // ablation_fem_precond at the coarse mesh: one solve per solver.
     let fem_problem = fem.build_problem(&scenarios[2]).expect("valid scenario");
     for (name, solver) in [
         (
-            "ablation_fem_precond/ssor/coarse",
-            FemSolver::Pcg(FemPreconditioner::ssor()),
-        ),
-        (
             "ablation_fem_precond/multigrid/coarse",
-            FemSolver::Pcg(FemPreconditioner::multigrid()),
-        ),
-        (
-            "ablation_fem_precond/multigrid_cheby/coarse",
-            FemSolver::Pcg(FemPreconditioner::multigrid_chebyshev(2)),
+            FemSolver::Multigrid,
         ),
         (
             "ablation_fem_precond/direct_banded/coarse",
@@ -250,7 +232,7 @@ fn main() {
     // `refresh_flat` measures the flat contraction-list refresh of the
     // *smoothed-aggregation* hierarchy, the like-for-like successor of
     // the PR-3/4 scatter refresh recorded in the baseline. One V-cycle
-    // per smoother gives the per-PCG-iteration cost.
+    // gives the per-PCG-iteration cost.
     let a1 = mg_box_matrix(1.0);
     let a2 = mg_box_matrix(3.0);
     let config = MultigridConfig::default();
@@ -271,9 +253,6 @@ fn main() {
     let mut z = vec![0.0; n];
     let jacobi = MultigridPreconditioner::new(&a1, &config).expect("coarsens");
     sampler.bench("mg_vcycle/jacobi/box32k", || jacobi.apply(&r, &mut z));
-    let cheby =
-        MultigridPreconditioner::new(&a1, &MultigridConfig::chebyshev(3)).expect("coarsens");
-    sampler.bench("mg_vcycle/chebyshev3/box32k", || cheby.apply(&r, &mut z));
 
     // Hierarchy reuse end to end: a 3-point radius sweep on the 3-D
     // Cartesian reference (the workload where multigrid setup is a real
@@ -356,7 +335,7 @@ fn main() {
     {
         use ttsv::serve::client::{trace_power_body, Client};
         use ttsv::serve::protocol::render_register_body;
-        use ttsv::serve::server::{ReadinessBackend, Server, ServerConfig};
+        use ttsv::serve::server::{Server, ServerConfig};
         const GRID: usize = 12;
         const FANOUT: usize = 32;
         // A never-seen chip configuration per id: per-session power scale
@@ -378,17 +357,11 @@ fn main() {
             let body = render_register_body(GRID, GRID, &planes, density);
             format!("{},\"segments\":[10,1000]}}", &body[..body.len() - 1])
         };
-        // Pinned to the poll(2) backend so the serve rows (and especially
-        // `serve/parked_request`) price the readiness backend, not
-        // whatever TTSV_SERVE_READINESS happens to be set to. On hosts
-        // without poll(2) the server falls back to sweep at startup and
-        // the two parked rows converge.
         let config = ServerConfig::default()
             .with_workers(2)
             .with_max_sessions(128)
             .with_max_connections(2 * FANOUT)
-            .with_queue_capacity(2 * FANOUT)
-            .with_readiness(ReadinessBackend::Poll);
+            .with_queue_capacity(2 * FANOUT);
         let server = Server::start("127.0.0.1:0", config).expect("bind ephemeral port");
         let addr = server.addr().to_string();
         let mut client = Client::connect(&addr).expect("connect");
@@ -484,12 +457,9 @@ fn main() {
 
         // The idle-connection rows: park a keep-alive connection past the
         // event loops' 200 µs spin window (untimed, via bench_prepared),
-        // then time one /healthz round-trip on it. On the poll(2) backend
-        // the parked loop blocks in poll and the socket itself wakes it,
-        // so the row sits in the microseconds; the sweep fallback only
-        // notices parked sockets on its 1 ms idle tick, which quantizes
-        // the same round-trip to the tick — the latency floor the
-        // readiness backend exists to remove.
+        // then time one /healthz round-trip on it. The parked loop blocks
+        // in poll(2) and the socket itself wakes it, so the row sits in
+        // the microseconds rather than on a millisecond timer tick.
         let park = Duration::from_millis(1);
         let mut parked = Client::connect(&addr).expect("connect parked client");
         sampler.bench_prepared(
@@ -503,27 +473,6 @@ fn main() {
         );
         drop(parked);
         server.shutdown();
-
-        let sweep_server = Server::start(
-            "127.0.0.1:0",
-            ServerConfig::default()
-                .with_workers(2)
-                .with_readiness(ReadinessBackend::Sweep),
-        )
-        .expect("bind sweep server");
-        let sweep_addr = sweep_server.addr().to_string();
-        let mut parked = Client::connect(&sweep_addr).expect("connect parked sweep client");
-        sampler.bench_prepared(
-            "serve/parked_request_sweep",
-            || std::thread::sleep(park),
-            || {
-                let (status, body) = parked.request("GET", "/healthz", "").expect("healthz");
-                assert_eq!(status, 200, "{body}");
-                body
-            },
-        );
-        drop(parked);
-        sweep_server.shutdown();
 
         // Durable sessions (PR 10): the same warm delta against a server
         // that journals every mutation to a write-ahead log under a
@@ -539,7 +488,6 @@ fn main() {
             "127.0.0.1:0",
             ServerConfig::default()
                 .with_workers(2)
-                .with_readiness(ReadinessBackend::Poll)
                 .with_persist(PersistConfig::new(&state_dir)),
         )
         .expect("bind journaled server");

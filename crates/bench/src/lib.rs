@@ -18,21 +18,20 @@
 //! | `fig5_liner_sweep` | Fig. 5 | max ΔT vs liner thickness `t_L`, per model |
 //! | `fig6_substrate_sweep` | Fig. 6 | max ΔT vs upper substrate thickness `t_Si` (via [`block_with_tsi`]) |
 //! | `fig7_division_sweep` | Fig. 7 | one via split into `n` smaller vias, same metal area (via [`block_divided`]) |
-//! | `table1_segments` | Table I | Model B accuracy/cost vs segment count `n` (1, 20, 100, 500, 1000), plus block-tridiagonal vs banded-LU solver variants |
+//! | `table1_segments` | Table I | Model B accuracy/cost vs segment count `n` (1, 20, 100, 500, 1000) |
 //! | `calibration` | §II / §IV-A | fitting Model A's `k₁`, `k₂` against the FEM reference |
 //! | `case_study` | §IV-E | the 10 mm × 10 mm DRAM-µP stack unit cell |
 //! | `ablation_axisym_vs_cart` | — | FEM axisymmetric vs full Cartesian discretization cost |
 //! | `ablation_fem_mesh` | — | FEM cost vs mesh resolution (coarse → fine) |
-//! | `ablation_modelb_solver` | — | Model B ladder solver: block tridiagonal vs banded LU vs conjugate gradient |
-//! | `ablation_fem_precond` | — | FEM linear solver: plain/Jacobi/SSOR/multigrid (Jacobi and Chebyshev smoothed) PCG vs direct banded, two mesh resolutions |
-//! | `ablation_mg_reuse` | — | multigrid setup amortization: hierarchy build vs numeric refresh, V-cycle per smoother, sweep with rebuilt vs pooled hierarchies |
+//! | `ablation_fem_precond` | — | FEM linear solver: multigrid-PCG vs direct banded, two mesh resolutions (the evidence for `FemSolver::Auto`'s rule) |
+//! | `ablation_mg_reuse` | — | multigrid setup amortization: hierarchy build vs numeric refresh, V-cycle cost, sweep with rebuilt vs pooled hierarchies |
 //! | `floorplan_chip` | §IV-E generalized | full-chip 32×32 power-map evaluation through the batch engine: dedup vs no-dedup, hotspot vs all-distinct gradient maps, factor-once batched vs per-tile solves, warm cross-call cache (via [`hotspot_floorplan`]/[`gradient_floorplan`]) |
 //!
 //! # Machine-readable perf tracking
 //!
 //! `cargo run --release -p ttsv-bench --bin bench_json [-- PATH [--check COMMITTED]]`
 //! times the headline workloads (the fig4 FEM sweep, Model B at deep
-//! segment counts, the preconditioner ablation, the hierarchy
+//! segment counts, the FEM solver ablation, the hierarchy
 //! build/refresh split for both the plain-aggregation default and the
 //! smoothed-aggregation preset, the bounded sweep runner, the 32×32
 //! floorplan-engine evaluations including the factor-once batched path,
@@ -306,7 +305,6 @@ mod tests {
             "fig4_radius_sweep/fem_coarse",
             "table1_segments/B(1000)",
             "ablation_fem_precond/multigrid/coarse",
-            "ablation_fem_precond/multigrid_cheby/coarse",
             "mg_hierarchy/build/box32k",
             "mg_hierarchy/refresh/box32k",
             "mg_hierarchy/refresh_flat/box32k",
@@ -323,7 +321,6 @@ mod tests {
             "serve/sustained_32req",
             "serve/sustained_fanout",
             "serve/parked_request",
-            "serve/parked_request_sweep",
             "serve/warm_delta_journaled",
         ] {
             assert!(median(&benches, key) > 0, "{key} must have a real median");
@@ -386,16 +383,6 @@ mod tests {
             median(&benches, "serve/sustained_fanout")
                 < 4 * median(&benches, "serve/sustained_32req"),
             "concurrent fan-out must not collapse to serial per-connection serving"
-        );
-        // PR-9 addition (same-run): a request on a connection parked past
-        // the spin window must answer faster under the poll(2) backend
-        // than under the sweep fallback, whose idle tick quantizes the
-        // round-trip to ~1 ms. The committed recording is made on a
-        // poll-capable host, so the gap is structural, not noise.
-        assert!(
-            median(&benches, "serve/parked_request")
-                < median(&benches, "serve/parked_request_sweep"),
-            "poll(2) readiness must beat the sweep idle tick on a parked connection"
         );
         // PR-10 acceptance criterion (same-run, machine-independent):
         // journaling every power update to the write-ahead log (default

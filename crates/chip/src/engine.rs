@@ -771,23 +771,6 @@ mod tests {
     }
 
     #[test]
-    fn factored_path_refuses_ablation_solvers() {
-        // Cached ΔT values key on the model's cache_tag; the ablation
-        // solvers agree with the block-tridiagonal kernel only to
-        // tolerance, so letting them through the factored path would
-        // poison the per-solver caches with foreign bits.
-        use ttsv_core::model_b::LadderSolver;
-        let plan = Floorplan::uniform(&CaseStudy::paper(), 2, 2).unwrap();
-        let model = ModelB::paper_b20().with_solver(LadderSolver::ConjugateGradient);
-        let engine = ChipEngine::new();
-        assert!(matches!(
-            engine.evaluate_factored(&plan, &model),
-            Err(CoreError::InvalidScenario { .. })
-        ));
-        assert_eq!(engine.solves(), 0);
-    }
-
-    #[test]
     fn scenario_cache_is_bounded_by_generational_eviction() {
         // Two successive single-cell evaluations under a cap of 1: the
         // second insert clears the first generation, so the tier never

@@ -12,7 +12,7 @@ use ttsv_units::{Length, Power, PowerDensity, TemperatureDelta, ThermalConductiv
 
 use crate::error::FemError;
 use crate::mesh::Axis;
-use crate::solver::{solve_preconditioned, FemPreconditioner, FemSolver, MultigridContext};
+use crate::solver::{solve_multigrid_pcg, FemSolver, MultigridContext};
 
 /// Boundary condition at the bottom (`z = 0`) plane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -116,16 +116,10 @@ impl AxisymmetricProblem {
     }
 
     /// Selects the linear solver (default: [`FemSolver::Auto`], which
-    /// picks banded LU for these small-bandwidth meshes) — an ablation
-    /// knob; the solution is identical to solver tolerance.
+    /// picks banded LU for these small-bandwidth meshes); the solution is
+    /// identical to solver tolerance.
     pub fn set_solver(&mut self, solver: FemSolver) {
         self.solver = solver;
-    }
-
-    /// Shorthand for [`AxisymmetricProblem::set_solver`] with
-    /// [`FemSolver::Pcg`] — selects the PCG preconditioner.
-    pub fn set_preconditioner(&mut self, precond: FemPreconditioner) {
-        self.solver = FemSolver::Pcg(precond);
     }
 
     /// The configured linear solver.
@@ -135,8 +129,8 @@ impl AxisymmetricProblem {
     }
 
     /// The solver [`FemSolver::Auto`] resolves to on this mesh (callers
-    /// use this to skip PCG-only work — warm-start guesses — when the
-    /// direct path will run).
+    /// use this to skip multigrid-only work — warm-start guesses — when
+    /// the direct path will run).
     #[must_use]
     pub fn resolved_solver(&self) -> FemSolver {
         self.solver.resolve(self.nr())
@@ -325,8 +319,8 @@ impl AxisymmetricProblem {
         self.solve_with(&self.default_config())
     }
 
-    /// Solves the finite-volume system with preconditioned CG (see
-    /// [`AxisymmetricProblem::set_preconditioner`]).
+    /// Solves the finite-volume system with the configured solver (see
+    /// [`AxisymmetricProblem::set_solver`]).
     ///
     /// # Errors
     ///
@@ -337,8 +331,8 @@ impl AxisymmetricProblem {
         self.solve_with_guess(config, None)
     }
 
-    /// Solves like [`AxisymmetricProblem::solve_with`], warm-starting PCG
-    /// from `guess` — a full per-cell temperature field (indexed
+    /// Solves like [`AxisymmetricProblem::solve_with`], warm-starting the
+    /// multigrid-PCG path from `guess` — a full per-cell temperature field (indexed
     /// `ir + iz·nr`, as returned by
     /// [`AxisymSolution::cell_temperatures_kelvin`]), typically the
     /// solution of a nearby problem (previous sweep point or Picard
@@ -360,9 +354,8 @@ impl AxisymmetricProblem {
     /// reusing (or populating) the multigrid hierarchy in `mg` on the
     /// iterative path: repeated solves on this mesh shape — Picard
     /// iterations, sweep points — skip aggregation/Galerkin setup after
-    /// the first call. The context is ignored by the direct and
-    /// non-multigrid solvers; the converged result is identical either
-    /// way.
+    /// the first call. The direct solver ignores the context; the
+    /// converged result is identical either way.
     ///
     /// # Errors
     ///
@@ -413,15 +406,15 @@ impl AxisymmetricProblem {
         // The unknown numbering preserves the `ir + iz·nr` order, so the
         // lexicographic half-bandwidth is at most nr — small enough on
         // every axisymmetric mesh that `FemSolver::Auto` picks the direct
-        // banded factorization; the PCG path remains for the ablations and
-        // as the large-problem route.
+        // banded factorization; the multigrid-PCG path remains as the
+        // tests' oracle and the large-problem route.
         let (solution, iterations) = match self.solver.resolve(nr) {
             FemSolver::DirectBanded => {
                 let mut banded = BandedMatrix::zeros(m, nr, nr);
                 self.assemble(&slot, &mut rhs, &mut |si, sj, g| banded.add(si, sj, g));
                 (banded.factorize()?.solve(&rhs)?, 0)
             }
-            FemSolver::Pcg(precond) => {
+            FemSolver::Multigrid => {
                 let mut coo = CooBuilder::with_capacity(m, m, 5 * m);
                 self.assemble(&slot, &mut rhs, &mut |si, sj, g| coo.add(si, sj, g));
                 let csr: CsrMatrix = coo.to_csr();
@@ -429,7 +422,7 @@ impl AxisymmetricProblem {
                 let guess_unknowns: Option<Vec<f64>> = guess
                     .filter(|g| g.len() == n)
                     .map(|g| cells.iter().map(|&i| g[i]).collect());
-                solve_preconditioned(&csr, &rhs, precond, config, guess_unknowns.as_deref(), mg)?
+                solve_multigrid_pcg(&csr, &rhs, config, guess_unknowns.as_deref(), mg)?
             }
             FemSolver::Auto => unreachable!("resolve() never returns Auto"),
         };
@@ -780,20 +773,18 @@ mod tests {
             prob.add_source((um(0.0), um(50.0)), (um(95.0), um(100.0)), wmm3(100.0));
             prob
         };
-        let reference = build().solve().unwrap().max_temperature().as_kelvin();
-        for precond in [
-            FemPreconditioner::Identity,
-            FemPreconditioner::Jacobi,
-            FemPreconditioner::ssor(),
-        ] {
-            let mut prob = build();
-            prob.set_preconditioner(precond);
-            let got = prob.solve().unwrap().max_temperature().as_kelvin();
-            assert!(
-                (got - reference).abs() < 1e-7 * reference,
-                "{precond:?}: {got} vs multigrid {reference}"
-            );
-        }
+        let mut direct = build();
+        direct.set_solver(FemSolver::DirectBanded);
+        let reference = direct.solve().unwrap().max_temperature().as_kelvin();
+        let mut prob = build();
+        prob.set_solver(FemSolver::Multigrid);
+        let solution = prob.solve().unwrap();
+        assert!(solution.iterations() > 0, "the multigrid leg must iterate");
+        let got = solution.max_temperature().as_kelvin();
+        assert!(
+            (got - reference).abs() < 1e-7 * reference,
+            "multigrid {got} vs direct {reference}"
+        );
     }
 
     #[test]
@@ -803,7 +794,7 @@ mod tests {
         let mut prob = AxisymmetricProblem::new(r, z, kk(100.0));
         prob.add_source((um(0.0), um(30.0)), (um(55.0), um(60.0)), wmm3(200.0));
         // Force the iterative path: the direct solver has no warm start.
-        prob.set_preconditioner(FemPreconditioner::multigrid());
+        prob.set_solver(FemSolver::Multigrid);
         let cold = prob.solve().unwrap();
         let warm = prob
             .solve_with_guess(

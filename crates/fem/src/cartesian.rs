@@ -11,7 +11,7 @@ use ttsv_units::{Length, Power, PowerDensity, TemperatureDelta, ThermalConductiv
 
 use crate::error::FemError;
 use crate::mesh::Axis;
-use crate::solver::{solve_preconditioned, FemPreconditioner, FemSolver, MultigridContext};
+use crate::solver::{solve_multigrid_pcg, FemSolver, MultigridContext};
 
 /// A steady heat-conduction problem on a `[0,Lx] × [0,Ly] × [0,Lz]` box with
 /// a heat sink at `z = 0` and adiabatic walls elsewhere.
@@ -47,16 +47,10 @@ impl CartesianProblem {
     }
 
     /// Selects the linear solver (default: [`FemSolver::Auto`], which
-    /// picks multigrid-PCG for all but the tiniest boxes) — an ablation
-    /// knob; the solution is identical to solver tolerance.
+    /// picks multigrid-PCG for all but the tiniest boxes); the solution
+    /// is identical to solver tolerance.
     pub fn set_solver(&mut self, solver: FemSolver) {
         self.solver = solver;
-    }
-
-    /// Shorthand for [`CartesianProblem::set_solver`] with
-    /// [`FemSolver::Pcg`] — selects the PCG preconditioner.
-    pub fn set_preconditioner(&mut self, precond: FemPreconditioner) {
-        self.solver = FemSolver::Pcg(precond);
     }
 
     /// The configured linear solver.
@@ -247,8 +241,8 @@ impl CartesianProblem {
         self.solve_with(&self.default_config())
     }
 
-    /// Solves the finite-volume system with preconditioned CG (see
-    /// [`CartesianProblem::set_preconditioner`]).
+    /// Solves the finite-volume system with the configured solver (see
+    /// [`CartesianProblem::set_solver`]).
     ///
     /// # Errors
     ///
@@ -284,11 +278,11 @@ impl CartesianProblem {
                 self.assemble(&mut rhs, &mut |i, j, g| banded.add(i, j, g));
                 (banded.factorize()?.solve(&rhs)?, 0)
             }
-            FemSolver::Pcg(precond) => {
+            FemSolver::Multigrid => {
                 let mut coo = CooBuilder::with_capacity(n, n, 7 * n);
                 self.assemble(&mut rhs, &mut |i, j, g| coo.add(i, j, g));
                 let guess = guess.filter(|g| g.len() == n);
-                solve_preconditioned(&coo.to_csr(), &rhs, precond, config, guess, mg)?
+                solve_multigrid_pcg(&coo.to_csr(), &rhs, config, guess, mg)?
             }
             FemSolver::Auto => unreachable!("resolve() never returns Auto"),
         };
@@ -535,16 +529,18 @@ mod tests {
             );
             prob
         };
-        let reference = build().solve().unwrap().max_temperature().as_kelvin();
-        for precond in [FemPreconditioner::Jacobi, FemPreconditioner::ssor()] {
-            let mut prob = build();
-            prob.set_preconditioner(precond);
-            let got = prob.solve().unwrap().max_temperature().as_kelvin();
-            assert!(
-                (got - reference).abs() < 1e-6 * reference,
-                "{precond:?}: {got} vs multigrid {reference}"
-            );
-        }
+        let mut direct = build();
+        direct.set_solver(FemSolver::DirectBanded);
+        let reference = direct.solve().unwrap().max_temperature().as_kelvin();
+        let mut prob = build();
+        prob.set_solver(FemSolver::Multigrid);
+        let solution = prob.solve().unwrap();
+        assert!(solution.iterations() > 0, "the multigrid leg must iterate");
+        let got = solution.max_temperature().as_kelvin();
+        assert!(
+            (got - reference).abs() < 1e-6 * reference,
+            "multigrid {got} vs direct {reference}"
+        );
     }
 
     #[test]

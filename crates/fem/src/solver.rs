@@ -1,12 +1,11 @@
 //! Linear-solver configuration shared by the finite-volume problems.
 //!
 //! Both the axisymmetric and the Cartesian problems assemble symmetric
-//! positive-definite systems on structured grids and hand them to
-//! preconditioned conjugate gradients. The preconditioner is a knob
-//! ([`FemPreconditioner`]) so the ablation benches can compare the choices;
-//! the default is the geometric multigrid V-cycle, which cuts the
-//! iteration count by roughly an order of magnitude on the reference
-//! meshes.
+//! positive-definite systems on structured grids. Each is solved one of
+//! two ways ([`FemSolver`]): a direct banded LU, or conjugate gradients
+//! preconditioned by a smoothed-aggregation multigrid V-cycle.
+//! [`FemSolver::Auto`] picks by half-bandwidth; the other path stays as
+//! the oracle the tests compare against.
 //!
 //! Multigrid setup (aggregation, Galerkin products) is a one-time cost per
 //! sparsity pattern: callers that solve many systems on one mesh — Picard
@@ -16,85 +15,29 @@
 //! instead of rebuilding it.
 
 use ttsv_linalg::{
-    solve_pcg_into, CsrMatrix, IdentityPreconditioner, IterativeConfig, JacobiPreconditioner,
-    LinalgError, MgSmoother, MultigridConfig, MultigridHierarchy, MultigridPreconditioner,
-    PcgWorkspace, SsorPreconditioner,
+    solve_pcg_into, CsrMatrix, IterativeConfig, LinalgError, MultigridConfig, MultigridHierarchy,
+    MultigridPreconditioner, PcgWorkspace,
 };
 
-/// Which preconditioner backs the finite-volume PCG solves.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FemPreconditioner {
-    /// No preconditioning (plain CG) — the ablation baseline.
-    Identity,
-    /// Diagonal scaling.
-    Jacobi,
-    /// Symmetric SOR sweeps with the given relaxation factor (the solver
-    /// the seed shipped with, at `ω = 1.5`).
-    Ssor {
-        /// Relaxation factor in `(0, 2)`.
-        omega: f64,
-    },
-    /// Smoothed-aggregation geometric multigrid V-cycle with the given
-    /// hierarchy/smoother knobs (default configuration — fastest on every
-    /// mesh the reference sweeps use). Construct via
-    /// [`FemPreconditioner::multigrid`] /
-    /// [`FemPreconditioner::multigrid_chebyshev`] for the common choices.
-    Multigrid(MultigridConfig),
-}
-
-impl Default for FemPreconditioner {
-    fn default() -> Self {
-        FemPreconditioner::multigrid()
-    }
-}
-
-impl FemPreconditioner {
-    /// The SSOR variant at the relaxation factor the seed solver used.
-    #[must_use]
-    pub fn ssor() -> Self {
-        FemPreconditioner::Ssor { omega: 1.5 }
-    }
-
-    /// Multigrid in the smoothed-aggregation configuration
-    /// ([`MultigridConfig::smoothed_aggregation`]). The FEM solves are
-    /// iteration-count-dominated, so they keep the fully smoothed
-    /// prolongators (≈2.5× fewer PCG iterations than the plain-
-    /// aggregation [`MultigridConfig::default`]) and amortize the heavier
-    /// setup through the pooled-hierarchy refresh path.
-    #[must_use]
-    pub fn multigrid() -> Self {
-        FemPreconditioner::Multigrid(MultigridConfig::smoothed_aggregation())
-    }
-
-    /// Multigrid with a degree-`degree` Chebyshev polynomial smoother on
-    /// the smoothed-aggregation hierarchy — the stronger per-cycle
-    /// relaxation for boxes past
-    /// [`CHEBYSHEV_BREAK_EVEN_UNKNOWNS`](ttsv_linalg::CHEBYSHEV_BREAK_EVEN_UNKNOWNS)
-    /// unknowns; profiled as a net loss below that size, so it stays an
-    /// explicit opt-in (see ROADMAP).
-    #[must_use]
-    pub fn multigrid_chebyshev(degree: usize) -> Self {
-        FemPreconditioner::Multigrid(MultigridConfig {
-            smoother: MgSmoother::Chebyshev { degree },
-            ..MultigridConfig::smoothed_aggregation()
-        })
-    }
-}
-
 /// How a finite-volume problem solves its assembled SPD system.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FemSolver {
     /// Pick automatically: banded LU when the lexicographic half-bandwidth
-    /// is small (the axisymmetric meshes — a direct `O(n·b²)` factorization
-    /// beats any iteration there), multigrid-PCG otherwise (the large 3-D
-    /// Cartesian boxes).
+    /// is at most 64 (the axisymmetric meshes — a direct `O(n·b²)`
+    /// factorization beats any iteration there), multigrid-PCG otherwise
+    /// (the large 3-D Cartesian boxes).
     #[default]
     Auto,
     /// Direct banded LU on the lexicographic numbering (exact; reported
     /// iteration count is 0).
     DirectBanded,
-    /// Preconditioned conjugate gradients.
-    Pcg(FemPreconditioner),
+    /// Conjugate gradients preconditioned by a smoothed-aggregation
+    /// multigrid V-cycle ([`MultigridConfig::smoothed_aggregation`]). The
+    /// FEM solves are iteration-count-dominated, so they keep the fully
+    /// smoothed prolongators (≈2.5× fewer PCG iterations than the
+    /// plain-aggregation [`MultigridConfig::default`]) and amortize the
+    /// heavier setup through the pooled-hierarchy refresh path.
+    Multigrid,
 }
 
 impl FemSolver {
@@ -105,7 +48,7 @@ impl FemSolver {
                 if half_bandwidth <= 64 {
                     FemSolver::DirectBanded
                 } else {
-                    FemSolver::Pcg(FemPreconditioner::multigrid())
+                    FemSolver::Multigrid
                 }
             }
             other => other,
@@ -191,14 +134,13 @@ impl MultigridContext {
     }
 }
 
-/// Solves the assembled SPD system with PCG under the selected
-/// preconditioner, warm-starting from `guess` when one is supplied and
-/// reusing (or populating) the multigrid hierarchy in `mg` when one is
-/// provided. Returns the solution and the iteration count.
-pub(crate) fn solve_preconditioned(
+/// Solves the assembled SPD system with multigrid-preconditioned CG,
+/// warm-starting from `guess` when one is supplied and reusing (or
+/// populating) the multigrid hierarchy in `mg` when one is provided.
+/// Returns the solution and the iteration count.
+pub(crate) fn solve_multigrid_pcg(
     a: &CsrMatrix,
     rhs: &[f64],
-    choice: FemPreconditioner,
     config: &IterativeConfig,
     guess: Option<&[f64]>,
     mg: Option<&mut MultigridContext>,
@@ -207,38 +149,20 @@ pub(crate) fn solve_preconditioned(
         Some(g) if g.len() == rhs.len() => g.to_vec(),
         _ => vec![0.0; rhs.len()],
     };
-    let mut workspace = PcgWorkspace::new();
-    let stats = match choice {
-        FemPreconditioner::Identity => solve_pcg_into(
-            a,
-            rhs,
-            &IdentityPreconditioner,
-            config,
-            &mut x,
-            &mut workspace,
-        )?,
-        FemPreconditioner::Jacobi => {
-            let pre = JacobiPreconditioner::new(a);
-            solve_pcg_into(a, rhs, &pre, config, &mut x, &mut workspace)?
+    let mg_config = MultigridConfig::smoothed_aggregation();
+    let stats = match mg {
+        Some(ctx) => {
+            ctx.prepare(a, &mg_config)?;
+            // Split the context borrow so the cached PCG workspace is
+            // reused alongside the prepared preconditioner.
+            let MultigridContext { pre, workspace, .. } = ctx;
+            let pre = pre.as_ref().expect("just prepared");
+            solve_pcg_into(a, rhs, pre, config, &mut x, workspace)?
         }
-        FemPreconditioner::Ssor { omega } => {
-            let pre = SsorPreconditioner::new(a, omega);
-            solve_pcg_into(a, rhs, &pre, config, &mut x, &mut workspace)?
+        None => {
+            let pre = MultigridPreconditioner::new(a, &mg_config)?;
+            solve_pcg_into(a, rhs, &pre, config, &mut x, &mut PcgWorkspace::new())?
         }
-        FemPreconditioner::Multigrid(mg_config) => match mg {
-            Some(ctx) => {
-                ctx.prepare(a, &mg_config)?;
-                // Split the context borrow so the cached PCG workspace is
-                // reused alongside the prepared preconditioner.
-                let MultigridContext { pre, workspace, .. } = ctx;
-                let pre = pre.as_ref().expect("just prepared");
-                solve_pcg_into(a, rhs, pre, config, &mut x, workspace)?
-            }
-            None => {
-                let pre = MultigridPreconditioner::new(a, &mg_config)?;
-                solve_pcg_into(a, rhs, &pre, config, &mut x, &mut workspace)?
-            }
-        },
     };
     Ok((x, stats.iterations))
 }
@@ -248,21 +172,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_multigrid() {
+    fn auto_picks_direct_on_narrow_bands_and_multigrid_otherwise() {
+        assert_eq!(FemSolver::default(), FemSolver::Auto);
+        assert_eq!(FemSolver::Auto.resolve(64), FemSolver::DirectBanded);
+        assert_eq!(FemSolver::Auto.resolve(65), FemSolver::Multigrid);
+        // An explicit choice is never overridden.
+        assert_eq!(FemSolver::Multigrid.resolve(1), FemSolver::Multigrid);
         assert_eq!(
-            FemPreconditioner::default(),
-            FemPreconditioner::Multigrid(MultigridConfig::smoothed_aggregation())
-        );
-        assert_eq!(
-            FemPreconditioner::ssor(),
-            FemPreconditioner::Ssor { omega: 1.5 }
-        );
-        assert_eq!(
-            FemPreconditioner::multigrid_chebyshev(2),
-            FemPreconditioner::Multigrid(MultigridConfig {
-                smoother: MgSmoother::Chebyshev { degree: 2 },
-                ..MultigridConfig::smoothed_aggregation()
-            })
+            FemSolver::DirectBanded.resolve(1000),
+            FemSolver::DirectBanded
         );
     }
 
@@ -286,24 +204,8 @@ mod tests {
         let b = vec![1.0; 128];
         let a1 = assemble(1.0);
         let a2 = assemble(4.0);
-        let (x1, _) = solve_preconditioned(
-            &a1,
-            &b,
-            FemPreconditioner::multigrid(),
-            &cfg,
-            None,
-            Some(&mut ctx),
-        )
-        .unwrap();
-        let (x2, _) = solve_preconditioned(
-            &a2,
-            &b,
-            FemPreconditioner::multigrid(),
-            &cfg,
-            None,
-            Some(&mut ctx),
-        )
-        .unwrap();
+        let (x1, _) = solve_multigrid_pcg(&a1, &b, &cfg, None, Some(&mut ctx)).unwrap();
+        let (x2, _) = solve_multigrid_pcg(&a2, &b, &cfg, None, Some(&mut ctx)).unwrap();
         assert_eq!((ctx.builds(), ctx.refreshes()), (1, 1));
         assert!(a1.residual_norm(&x1, &b).unwrap() < 1e-7);
         assert!(a2.residual_norm(&x2, &b).unwrap() < 1e-7);

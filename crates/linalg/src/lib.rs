@@ -4,18 +4,17 @@
 //! scientific-computing stack, so everything the thermal models need is
 //! implemented here from scratch:
 //!
-//! * [`DenseMatrix`] with [LU](DenseMatrix::lu) (partial pivoting) and
-//!   [QR](DenseMatrix::qr) (Householder) factorizations — Model A's small KCL
-//!   systems and least-squares fitting.
+//! * [`DenseMatrix`] with [LU](DenseMatrix::lu) (partial pivoting) —
+//!   Model A's small KCL systems and the multigrid coarsest-level solve.
 //! * [`Tridiagonal`] (Thomas algorithm), [`BandedMatrix`] (banded LU), and
 //!   [`BlockTridiagonal`] (2×2 block Thomas) — Model B's π-segment ladders
 //!   are banded SPD systems, solved `O(n)` by the dedicated block kernel.
 //! * [`CsrMatrix`] sparse storage with [conjugate-gradient](solve_cg)
 //!   solvers ([allocation-free and warm-startable](solve_pcg_into) via
-//!   [`PcgWorkspace`]), [Jacobi](JacobiPreconditioner)/[SSOR](SsorPreconditioner)
-//!   preconditioning, and a geometric [multigrid](MultigridPreconditioner)
-//!   V-cycle for the structured finite-volume grids — the reference solver's
-//!   hot path.
+//!   [`PcgWorkspace`]), [SSOR](SsorPreconditioner) preconditioning (the
+//!   thermal-network solver), and a smoothed-aggregation
+//!   [multigrid](MultigridPreconditioner) V-cycle for the structured
+//!   finite-volume grids — the reference solver's iterative path.
 //! * Derivative-free optimizers ([`nelder_mead`], [`golden_section`]) — the
 //!   k₁/k₂ fitting-coefficient calibration.
 //!
@@ -45,7 +44,6 @@ mod lu;
 mod multigrid;
 mod optimize;
 mod precond;
-mod qr;
 mod sparse;
 mod tridiagonal;
 mod vector;
@@ -55,21 +53,14 @@ pub use block_tridiag::{BlockTridiagonal, BlockTridiagonalLu};
 pub use dense::DenseMatrix;
 pub use error::LinalgError;
 pub use iterative::{
-    solve_cg, solve_gauss_seidel, solve_pcg, solve_pcg_into, solve_sor, IterativeConfig,
-    PcgWorkspace, SolveReport, SolveStats,
+    solve_cg, solve_pcg, solve_pcg_into, IterativeConfig, PcgWorkspace, SolveReport, SolveStats,
 };
 pub use lu::LuDecomposition;
-pub use multigrid::{
-    ChebyshevSmoother, MgSmoother, MultigridConfig, MultigridHierarchy, MultigridPreconditioner,
-    CHEBYSHEV_BREAK_EVEN_UNKNOWNS,
-};
+pub use multigrid::{MultigridConfig, MultigridHierarchy, MultigridPreconditioner};
 pub use optimize::{
     golden_section, nelder_mead, GoldenSectionResult, NelderMeadConfig, NelderMeadResult,
 };
-pub use precond::{
-    IdentityPreconditioner, JacobiPreconditioner, Preconditioner, SsorPreconditioner,
-};
-pub use qr::QrDecomposition;
+pub use precond::{IdentityPreconditioner, Preconditioner, SsorPreconditioner};
 pub use sparse::{CooBuilder, CsrMatrix};
 pub use tridiagonal::Tridiagonal;
 pub use vector::{axpy, dot, norm2, norm_inf, scale, sub};

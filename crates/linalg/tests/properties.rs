@@ -334,17 +334,11 @@ proptest! {
         let a2 = random_box_matrix(dims, &k2);
         prop_assert!(a1.same_pattern(&a2));
         // Cover every numeric-refresh path: the plain-aggregation default
-        // (single-stream sums), classic smoothed aggregation (pair lists
-        // + prolongator refresh), and a truncated/capped smoothed config
-        // (the rescale branch) — each serial and threaded.
+        // (single-stream sums) and classic smoothed aggregation (pair lists
+        // + prolongator refresh) — each serial and threaded.
         let presets = [
             MultigridConfig::default(),
             MultigridConfig::smoothed_aggregation(),
-            MultigridConfig {
-                prolongator_truncation: 0.15,
-                prolongator_max_entries: 3,
-                ..MultigridConfig::smoothed_aggregation()
-            },
         ];
         for (preset, threshold) in presets
             .iter()
@@ -370,43 +364,6 @@ proptest! {
                     z_refreshed[i]
                 );
             }
-        }
-    }
-
-    #[test]
-    fn chebyshev_vcycle_reduces_energy_error_monotonically_on_random_boxes(
-        (dims, k, x_star) in box_system(),
-    ) {
-        // The Chebyshev-smoothed V-cycle must also be an energy-norm
-        // contraction (the guarantee CG preconditioning rests on).
-        let a = random_box_matrix(dims, &k);
-        let b = a.matvec(&x_star).unwrap();
-        let mg = MultigridPreconditioner::new(&a, &MultigridConfig::chebyshev(2)).unwrap();
-        let n = b.len();
-        let energy = |x: &[f64]| {
-            let e: Vec<f64> = x_star.iter().zip(x).map(|(s, v)| s - v).collect();
-            ttsv_linalg::dot(&e, &a.matvec(&e).unwrap()).max(0.0).sqrt()
-        };
-        let mut x = vec![0.0; n];
-        let mut prev = energy(&x);
-        let floor = 1e-10 * prev.max(1e-30);
-        for cycle in 0..8 {
-            if prev <= floor {
-                break; // already at rounding level
-            }
-            let ax = a.matvec(&x).unwrap();
-            let r: Vec<f64> = b.iter().zip(&ax).map(|(bi, axi)| bi - axi).collect();
-            let mut dz = vec![0.0; n];
-            ttsv_linalg::Preconditioner::apply(&mg, &r, &mut dz);
-            for i in 0..n {
-                x[i] += dz[i];
-            }
-            let now = energy(&x);
-            prop_assert!(
-                now < prev,
-                "cycle {cycle}: Chebyshev energy error grew from {prev:.3e} to {now:.3e}"
-            );
-            prev = now;
         }
     }
 
@@ -493,30 +450,6 @@ proptest! {
         let y_dense = dense.matvec(&x).unwrap();
         for (s, d) in y_sparse.iter().zip(&y_dense) {
             prop_assert!((s - d).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn qr_least_squares_residual_is_orthogonal(
-        cols in prop::collection::vec((-2.0..2.0f64, -2.0..2.0f64), 6),
-        b in rhs(6),
-    ) {
-        // Residual of the LS solution must be orthogonal to the column space.
-        let a = DenseMatrix::from_fn(6, 2, |i, j| if j == 0 { 1.0 } else { cols[i].0 + 0.1 * cols[i].1 });
-        let qr = match a.qr() {
-            Ok(qr) => qr,
-            Err(_) => return Ok(()),
-        };
-        let x = match qr.solve_least_squares(&b) {
-            Ok(x) => x,
-            Err(_) => return Ok(()), // rank-deficient draw
-        };
-        let ax = a.matvec(&x).unwrap();
-        let r: Vec<f64> = b.iter().zip(&ax).map(|(bi, axi)| bi - axi).collect();
-        for j in 0..2 {
-            let col: Vec<f64> = (0..6).map(|i| a[(i, j)]).collect();
-            let d = ttsv_linalg::dot(&col, &r);
-            prop_assert!(d.abs() < 1e-7, "residual not orthogonal: {d}");
         }
     }
 }

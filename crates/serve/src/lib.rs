@@ -23,8 +23,8 @@
 //!   table with quotas, transactional power updates (staged, rolled
 //!   back on failure), `GET /metrics`,
 //! * [`poller`] — real `poll(2)` readiness for the event loops (a
-//!   hand-rolled std-only binding plus a self-pipe waker; unix-gated,
-//!   with the portable sweep loop as fallback),
+//!   hand-rolled std-only binding plus a self-pipe waker; the crate is
+//!   unix-only),
 //! * [`persist`] — the per-server write-ahead journal (`--state-dir`):
 //!   CRC32-framed records for registrations, power updates, deletions,
 //!   and eviction tombstones; torn-tail-tolerant crash recovery that
@@ -88,6 +88,9 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(not(unix))]
+compile_error!("ttsv-serve needs a unix target: its event loops block in poll(2)");
+
 pub mod client;
 pub mod faults;
 pub mod http;
@@ -104,4 +107,4 @@ pub use http::{HttpError, Request, RequestParser, Response};
 pub use lru::LruCache;
 pub use metrics::Metrics;
 pub use persist::{FsyncPolicy, PersistConfig};
-pub use server::{ReadinessBackend, Server, ServerConfig};
+pub use server::{Server, ServerConfig};

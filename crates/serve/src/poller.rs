@@ -1,16 +1,12 @@
 //! Real `poll(2)` readiness for the event loops — std-only, no libc.
 //!
-//! The event loops in [`crate::server`] multiplex nonblocking sockets.
-//! Until PR 9 they discovered readiness by *sweeping*: try every socket,
-//! collect `WouldBlock`, park on a condvar with a 1 ms tick. That costs
-//! a full tick of added latency for a request landing on a parked
-//! connection and wakes an idle server 1000×/s to do nothing. This
-//! module gives the loops genuine blocking readiness instead:
+//! The event loops in [`crate::server`] multiplex nonblocking sockets
+//! and block in genuine readiness rather than polling on a timer:
 //!
 //! * a hand-rolled `extern "C"` binding to POSIX `poll(2)` over the raw
-//!   fds `std::os::fd` exposes (`#[cfg(unix)]`, no new dependencies —
-//!   the single `unsafe` block in the workspace lives here and is
-//!   scoped to that one call), and
+//!   fds `std::os::fd` exposes (no new dependencies — the single
+//!   `unsafe` block in the workspace lives here and is scoped to that
+//!   one call), and
 //! * a **self-pipe** (`std::os::unix::net::UnixStream::pair`) whose
 //!   read end sits in every
 //!   poll set: the accept thread and worker completions write one byte
@@ -21,37 +17,16 @@
 //!   inbox check and its `poll` call leaves the pipe readable, so the
 //!   `poll` returns at once instead of sleeping on a stale emptiness.
 //!
-//! On non-unix targets [`Poller::new`] reports `Unsupported` and the
-//! server falls back to the sweep backend (`--readiness sweep`), which
-//! remains fully supported everywhere — every serve suite runs against
-//! both backends.
+//! The serve crate is unix-only: there is no fallback backend, and
+//! [`crate::server::Server::start`] fails if [`Poller::new`] does.
 
 #![allow(clippy::doc_markdown)]
 
-use std::io;
+use std::io::{self, Read, Write};
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
+use std::sync::Arc;
 use std::time::Duration;
-
-#[cfg(unix)]
-pub use imp::{Poller, Waker};
-#[cfg(not(unix))]
-pub use stub::{Poller, Waker};
-
-/// The raw fd of a TCP stream, for interest submission. On non-unix
-/// targets — where the poll backend can never be active, so no interest
-/// is ever submitted — this returns a `-1` sentinel.
-#[must_use]
-pub fn stream_fd(stream: &std::net::TcpStream) -> i32 {
-    #[cfg(unix)]
-    {
-        use std::os::fd::AsRawFd;
-        stream.as_raw_fd()
-    }
-    #[cfg(not(unix))]
-    {
-        let _ = stream;
-        -1
-    }
-}
 
 /// One fd the caller wants readiness for, plus the directions of
 /// interest. Interest mirrors the connection state machine: read
@@ -80,234 +55,172 @@ pub struct WaitOutcome {
     pub woken: bool,
 }
 
-#[cfg(unix)]
-mod imp {
-    use super::{io, Duration, PollInterest, WaitOutcome};
-    use std::io::{Read, Write};
-    use std::os::fd::AsRawFd;
-    use std::os::unix::net::UnixStream;
-    use std::sync::Arc;
+/// `struct pollfd` from `<poll.h>`, laid out per POSIX: the fd, the
+/// requested events, and the kernel-filled returned events.
+#[repr(C)]
+#[derive(Debug)]
+struct PollFd {
+    fd: i32,
+    events: i16,
+    revents: i16,
+}
 
-    /// `struct pollfd` from `<poll.h>`, laid out per POSIX: the fd, the
-    /// requested events, and the kernel-filled returned events.
-    #[repr(C)]
-    #[derive(Debug)]
-    struct PollFd {
-        fd: i32,
-        events: i16,
-        revents: i16,
-    }
+/// Event bits shared by every unix we target (Linux and the BSDs
+/// agree on these low bits; they are POSIX-mandated names).
+const POLLIN: i16 = 0x001;
+const POLLOUT: i16 = 0x004;
+const POLLERR: i16 = 0x008;
+const POLLHUP: i16 = 0x010;
+const POLLNVAL: i16 = 0x020;
 
-    /// Event bits shared by every unix we target (Linux and the BSDs
-    /// agree on these low bits; they are POSIX-mandated names).
-    const POLLIN: i16 = 0x001;
-    const POLLOUT: i16 = 0x004;
-    const POLLERR: i16 = 0x008;
-    const POLLHUP: i16 = 0x010;
-    const POLLNVAL: i16 = 0x020;
+// The one foreign binding: POSIX poll(2). `nfds_t` is `c_ulong` on
+// Linux and `c_uint` on the BSDs; both are register-passed, so the
+// wider type is ABI-compatible for the value ranges we use (a few
+// thousand fds at most).
+#[allow(unsafe_code)]
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: std::os::raw::c_ulong, timeout: i32) -> i32;
+}
 
-    // The one foreign binding: POSIX poll(2). `nfds_t` is `c_ulong` on
-    // Linux and `c_uint` on the BSDs; both are register-passed, so the
-    // wider type is ABI-compatible for the value ranges we use (a few
-    // thousand fds at most).
-    #[allow(unsafe_code)]
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: std::os::raw::c_ulong, timeout: i32) -> i32;
-    }
+/// The write side of a loop's self-pipe. Cloneable and cheap: the
+/// accept thread and every worker completion hold one and call
+/// [`Waker::wake`] after pushing into the loop's inbox.
+#[derive(Debug, Clone)]
+pub struct Waker {
+    tx: Arc<UnixStream>,
+}
 
-    /// The write side of a loop's self-pipe. Cloneable and cheap: the
-    /// accept thread and every worker completion hold one and call
-    /// [`Waker::wake`] after pushing into the loop's inbox.
-    #[derive(Debug, Clone)]
-    pub struct Waker {
-        tx: Arc<UnixStream>,
-    }
-
-    impl Waker {
-        /// Makes a blocked [`Poller::wait`] return now (and the next
-        /// `wait` return immediately if none is blocked). Never blocks:
-        /// the pipe is nonblocking, and a full pipe already guarantees a
-        /// pending wake, so `WouldBlock` is success.
-        pub fn wake(&self) {
-            let _ = (&*self.tx).write(&[1u8]);
-        }
-    }
-
-    /// A readiness selector for one event loop: the poll set scratch
-    /// buffer plus the read side of the loop's self-pipe.
-    #[derive(Debug)]
-    pub struct Poller {
-        rx: UnixStream,
-        fds: Vec<PollFd>,
-    }
-
-    impl Poller {
-        /// Builds a poller and its paired [`Waker`].
-        ///
-        /// # Errors
-        ///
-        /// Propagates socketpair/fcntl failures (fd exhaustion).
-        pub fn new() -> io::Result<(Self, Waker)> {
-            let (rx, tx) = UnixStream::pair()?;
-            rx.set_nonblocking(true)?;
-            tx.set_nonblocking(true)?;
-            Ok((
-                Self {
-                    rx,
-                    fds: Vec::new(),
-                },
-                Waker { tx: Arc::new(tx) },
-            ))
-        }
-
-        /// Blocks until a submitted fd is ready, the waker fires, or
-        /// `timeout` elapses (`None` blocks indefinitely — the waker is
-        /// always armed, so "indefinitely" means "until someone has work
-        /// for this loop"). Drains the self-pipe before returning, so
-        /// each wake is observed exactly once.
-        ///
-        /// # Errors
-        ///
-        /// Propagates `poll(2)` failures other than `EINTR` (which
-        /// retries with the same timeout) and `EAGAIN`.
-        pub fn wait(
-            &mut self,
-            interests: &[PollInterest],
-            timeout: Option<Duration>,
-        ) -> io::Result<WaitOutcome> {
-            self.fds.clear();
-            self.fds.push(PollFd {
-                fd: self.rx.as_raw_fd(),
-                events: POLLIN,
-                revents: 0,
-            });
-            for interest in interests {
-                let mut events = 0i16;
-                if interest.read {
-                    events |= POLLIN;
-                }
-                if interest.write {
-                    events |= POLLOUT;
-                }
-                if events != 0 {
-                    self.fds.push(PollFd {
-                        fd: interest.fd,
-                        events,
-                        revents: 0,
-                    });
-                }
-            }
-            // poll(2) takes milliseconds; round *up* so a deadline-derived
-            // timeout never wakes early (which would spin: wake, find the
-            // deadline not yet due, sleep the sub-millisecond remainder,
-            // repeat).
-            let timeout_ms: i32 = match timeout {
-                None => -1,
-                Some(t) => {
-                    let whole = t.as_millis();
-                    let carry = u128::from(t.subsec_nanos() % 1_000_000 != 0);
-                    i32::try_from(whole + carry).unwrap_or(i32::MAX)
-                }
-            };
-            let n = loop {
-                // SAFETY: `fds` is a live, exclusively borrowed Vec of
-                // `#[repr(C)]` pollfd-layout structs; the pointer and
-                // length describe exactly that allocation, and poll(2)
-                // only writes within it (the `revents` fields).
-                #[allow(unsafe_code)]
-                let rc = unsafe {
-                    poll(
-                        self.fds.as_mut_ptr(),
-                        self.fds.len() as std::os::raw::c_ulong,
-                        timeout_ms,
-                    )
-                };
-                if rc >= 0 {
-                    break rc as usize;
-                }
-                let err = io::Error::last_os_error();
-                match err.kind() {
-                    io::ErrorKind::Interrupted => {}
-                    io::ErrorKind::WouldBlock => break 0,
-                    _ => return Err(err),
-                }
-            };
-            let mut outcome = WaitOutcome::default();
-            if n == 0 {
-                return Ok(outcome);
-            }
-            const ANY: i16 = POLLIN | POLLOUT | POLLERR | POLLHUP | POLLNVAL;
-            if self.fds[0].revents & ANY != 0 {
-                outcome.woken = true;
-                // Drain every queued wake byte; WouldBlock ends the drain.
-                let mut sink = [0u8; 64];
-                while matches!(self.rx.read(&mut sink), Ok(n) if n > 0) {}
-            }
-            outcome.ready = self.fds[1..]
-                .iter()
-                .filter(|fd| fd.revents & ANY != 0)
-                .count();
-            Ok(outcome)
-        }
+impl Waker {
+    /// Makes a blocked [`Poller::wait`] return now (and the next
+    /// `wait` return immediately if none is blocked). Never blocks:
+    /// the pipe is nonblocking, and a full pipe already guarantees a
+    /// pending wake, so `WouldBlock` is success.
+    pub fn wake(&self) {
+        let _ = (&*self.tx).write(&[1u8]);
     }
 }
 
-#[cfg(not(unix))]
-mod stub {
-    use super::{io, Duration, PollInterest, WaitOutcome};
+/// A readiness selector for one event loop: the poll set scratch
+/// buffer plus the read side of the loop's self-pipe.
+#[derive(Debug)]
+pub struct Poller {
+    rx: UnixStream,
+    fds: Vec<PollFd>,
+}
 
-    /// No-op waker for targets without `poll(2)`; the sweep backend's
-    /// condvar does the waking there.
-    #[derive(Debug, Clone)]
-    pub struct Waker;
-
-    impl Waker {
-        /// Nothing to wake: the sweep backend never blocks in `poll`.
-        pub fn wake(&self) {}
+impl Poller {
+    /// Builds a poller and its paired [`Waker`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates socketpair/fcntl failures (fd exhaustion).
+    pub fn new() -> io::Result<(Self, Waker)> {
+        let (rx, tx) = UnixStream::pair()?;
+        rx.set_nonblocking(true)?;
+        tx.set_nonblocking(true)?;
+        Ok((
+            Self {
+                rx,
+                fds: Vec::new(),
+            },
+            Waker { tx: Arc::new(tx) },
+        ))
     }
 
-    /// Placeholder so non-unix builds type-check; construction always
-    /// fails and the server falls back to the sweep backend.
-    #[derive(Debug)]
-    pub struct Poller;
-
-    impl Poller {
-        /// Always `Unsupported` off unix.
-        ///
-        /// # Errors
-        ///
-        /// Always.
-        pub fn new() -> io::Result<(Self, Waker)> {
-            Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "poll(2) readiness needs a unix target; use the sweep backend",
-            ))
+    /// Blocks until a submitted fd is ready, the waker fires, or
+    /// `timeout` elapses (`None` blocks indefinitely — the waker is
+    /// always armed, so "indefinitely" means "until someone has work
+    /// for this loop"). Drains the self-pipe before returning, so
+    /// each wake is observed exactly once.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `poll(2)` failures other than `EINTR` (which
+    /// retries with the same timeout) and `EAGAIN`.
+    pub fn wait(
+        &mut self,
+        interests: &[PollInterest],
+        timeout: Option<Duration>,
+    ) -> io::Result<WaitOutcome> {
+        self.fds.clear();
+        self.fds.push(PollFd {
+            fd: self.rx.as_raw_fd(),
+            events: POLLIN,
+            revents: 0,
+        });
+        for interest in interests {
+            let mut events = 0i16;
+            if interest.read {
+                events |= POLLIN;
+            }
+            if interest.write {
+                events |= POLLOUT;
+            }
+            if events != 0 {
+                self.fds.push(PollFd {
+                    fd: interest.fd,
+                    events,
+                    revents: 0,
+                });
+            }
         }
-
-        /// Unreachable (construction fails), present for type parity.
-        ///
-        /// # Errors
-        ///
-        /// Always.
-        pub fn wait(
-            &mut self,
-            _interests: &[PollInterest],
-            _timeout: Option<Duration>,
-        ) -> io::Result<WaitOutcome> {
-            Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "poll(2) readiness needs a unix target",
-            ))
+        // poll(2) takes milliseconds; round *up* so a deadline-derived
+        // timeout never wakes early (which would spin: wake, find the
+        // deadline not yet due, sleep the sub-millisecond remainder,
+        // repeat).
+        let timeout_ms: i32 = match timeout {
+            None => -1,
+            Some(t) => {
+                let whole = t.as_millis();
+                let carry = u128::from(t.subsec_nanos() % 1_000_000 != 0);
+                i32::try_from(whole + carry).unwrap_or(i32::MAX)
+            }
+        };
+        let n = loop {
+            // SAFETY: `fds` is a live, exclusively borrowed Vec of
+            // `#[repr(C)]` pollfd-layout structs; the pointer and
+            // length describe exactly that allocation, and poll(2)
+            // only writes within it (the `revents` fields).
+            #[allow(unsafe_code)]
+            let rc = unsafe {
+                poll(
+                    self.fds.as_mut_ptr(),
+                    self.fds.len() as std::os::raw::c_ulong,
+                    timeout_ms,
+                )
+            };
+            if rc >= 0 {
+                break rc as usize;
+            }
+            let err = io::Error::last_os_error();
+            match err.kind() {
+                io::ErrorKind::Interrupted => {}
+                io::ErrorKind::WouldBlock => break 0,
+                _ => return Err(err),
+            }
+        };
+        let mut outcome = WaitOutcome::default();
+        if n == 0 {
+            return Ok(outcome);
         }
+        const ANY: i16 = POLLIN | POLLOUT | POLLERR | POLLHUP | POLLNVAL;
+        if self.fds[0].revents & ANY != 0 {
+            outcome.woken = true;
+            // Drain every queued wake byte; WouldBlock ends the drain.
+            let mut sink = [0u8; 64];
+            while matches!(self.rx.read(&mut sink), Ok(n) if n > 0) {}
+        }
+        outcome.ready = self.fds[1..]
+            .iter()
+            .filter(|fd| fd.revents & ANY != 0)
+            .count();
+        Ok(outcome)
     }
 }
 
-#[cfg(all(test, unix))]
+#[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
-    use std::os::fd::AsRawFd;
-    use std::os::unix::net::UnixStream;
     use std::time::Instant;
 
     #[test]

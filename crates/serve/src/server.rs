@@ -20,20 +20,15 @@
 //! queued, in flight, or already inline — the loop evaluates right on
 //! its own thread, skipping two thread handoffs; concurrent load
 //! immediately shifts evaluation back to the pool.)
-//! Readiness comes from one of two backends
-//! ([`ServerConfig::readiness`]). On unix the default is **poll**: a
-//! short yield-spin window after the last progress keeps hot traffic at
-//! near-blocking latency, then the loop blocks in real `poll(2)` (via
-//! [`crate::poller`], std-only) over its connections' fds plus a
+//! Readiness comes from real `poll(2)` (via [`crate::poller`],
+//! std-only; the crate is unix-only). A short yield-spin window after
+//! the last progress keeps hot traffic at near-blocking latency, then
+//! the loop blocks in `poll(2)` over its connections' fds plus a
 //! self-pipe that the accept thread and worker completions write to, so
 //! inbox activity interrupts the block immediately. The poll timeout is
 //! derived from the nearest connection deadline, so an idle server
 //! makes *zero* wakeups instead of ticking every millisecond (the
-//! `/metrics` `readiness` block counts wakeups). Everywhere else — and
-//! under `--readiness sweep` — the loops fall back to **sweep**: try
-//! every socket, collect `WouldBlock`, park on a condvar with a
-//! millisecond tick for deadline enforcement. Both backends run the
-//! same service pass, so responses are bitwise identical across them.
+//! `/metrics` `readiness` block counts wakeups).
 //!
 //! Every worker shares one [`ChipEngine`] whose two cache tiers are
 //! bounded by the config's caps — a warm power-delta request re-solves
@@ -101,9 +96,9 @@
 use std::collections::HashMap;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::str::FromStr;
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use ttsv_chip::{ChipEngine, ChipReport};
@@ -114,79 +109,20 @@ use crate::http::{Method, Request, RequestParser, Response, WriteBuffer};
 use crate::lru::ShardedLru;
 use crate::metrics::{Metrics, PersistStats};
 use crate::persist::{Journal, PersistConfig};
-use crate::poller::{self, PollInterest, Poller, Waker};
+use crate::poller::{PollInterest, Poller, Waker};
 use crate::protocol::{self, SessionSpec};
 
 /// The `Retry-After` hint (seconds) on overload responses (503/429).
 pub const RETRY_AFTER_SECS: u64 = 1;
 
 /// How long an event loop keeps yield-spinning after its last progress
-/// before parking on its condvar. Continuous traffic never leaves the
+/// before blocking in `poll(2)`. Continuous traffic never leaves the
 /// window, so the hot path stays at near-blocking latency.
 const SPIN_WINDOW: Duration = Duration::from_micros(200);
-/// The sweep backend's parked tick: deadline checks run at least this
-/// often there — and a request landing on a parked connection eats up
-/// to this much added latency, which is exactly what the poll backend
-/// eliminates (`tests/serve_readiness.rs` pins parked-request latency
-/// well under this on poll).
-pub const IDLE_TICK: Duration = Duration::from_millis(1);
-/// The sweep backend's parked tick with no connections at all to watch.
-const EMPTY_TICK: Duration = Duration::from_millis(100);
-
-/// How the event loops discover socket readiness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadinessBackend {
-    /// Block in real `poll(2)` with a deadline-derived timeout; woken by
-    /// a self-pipe on inbox activity. Unix only — requesting it
-    /// elsewhere (or when poller setup fails) falls back to sweep.
-    Poll,
-    /// Sweep every socket for `WouldBlock` and park on a condvar with a
-    /// millisecond tick. Works everywhere; costs up to [`IDLE_TICK`] of
-    /// added latency on parked connections and idle CPU.
-    Sweep,
-}
-
-impl ReadinessBackend {
-    /// The host default: poll where `poll(2)` exists, sweep elsewhere.
-    #[must_use]
-    pub fn host_default() -> Self {
-        if cfg!(unix) {
-            Self::Poll
-        } else {
-            Self::Sweep
-        }
-    }
-
-    /// The wire/CLI name (`"poll"` / `"sweep"`), as reported in the
-    /// `/metrics` `readiness` block.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Poll => "poll",
-            Self::Sweep => "sweep",
-        }
-    }
-}
-
-impl FromStr for ReadinessBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "poll" => Ok(Self::Poll),
-            "sweep" => Ok(Self::Sweep),
-            other => Err(format!(
-                "unknown readiness backend {other:?} (expected \"poll\" or \"sweep\")"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for ReadinessBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
+/// How long a loop backs off when `poll(2)` itself fails at park time
+/// (fd exhaustion or a kernel hiccup): a bounded sleep, never a spin,
+/// before the next service pass retries the poll.
+const POLL_ERROR_BACKOFF: Duration = Duration::from_millis(1);
 
 /// Locks a mutex, recovering from poisoning. Handler panics are caught
 /// at the request boundary, but a panic *while holding* a lock still
@@ -239,12 +175,6 @@ pub struct ServerConfig {
     /// Deterministic fault schedule for chaos testing (`None` in
     /// production: one `Option` check per request).
     pub faults: Option<Arc<ServerFaults>>,
-    /// How the event loops discover readiness. Defaults to the host
-    /// default (poll on unix, sweep elsewhere), overridable via the
-    /// `TTSV_SERVE_READINESS` environment variable (`poll` / `sweep` —
-    /// how CI forces the sweep leg) and the serve binary's
-    /// `--readiness` flag.
-    pub readiness: ReadinessBackend,
     /// Durable-session persistence (`None`: purely in-memory, the
     /// previous behavior). When set, every registration, applied power
     /// update, deletion, and LRU eviction appends to a write-ahead
@@ -275,10 +205,6 @@ impl Default for ServerConfig {
             max_connections: None,
             max_pending_updates: 8,
             faults: None,
-            readiness: std::env::var("TTSV_SERVE_READINESS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(ReadinessBackend::host_default),
             persist: std::env::var_os("TTSV_SERVE_STATE_DIR").map(|root| {
                 static UNIQUE: AtomicU64 = AtomicU64::new(0);
                 let sub = format!(
@@ -420,13 +346,6 @@ impl ServerConfig {
         self
     }
 
-    /// Overrides the readiness backend (see [`ReadinessBackend`]).
-    #[must_use]
-    pub fn with_readiness(mut self, readiness: ReadinessBackend) -> Self {
-        self.readiness = readiness;
-        self
-    }
-
     /// Enables durable sessions with default journal tuning: a
     /// write-ahead journal lives in `state_dir` (created if missing) and
     /// startup replays whatever journal it finds there.
@@ -496,9 +415,6 @@ struct ServerState {
     /// cheaper, which is most of a warm request's latency — and this
     /// gauge routes concurrent work to the pool instead.
     inline_busy: AtomicUsize,
-    /// The readiness backend the loops actually run (after fallback),
-    /// reported in `/metrics`.
-    readiness: ReadinessBackend,
     /// The write-ahead journal (`None`: purely in-memory sessions).
     journal: Option<Arc<Journal>>,
     /// Journal counters for the `/metrics` `persistence` block — held
@@ -716,7 +632,7 @@ impl ServerState {
              \"requests_per_sec\":{:.3},\"latency_ns\":{{\"p50\":{},\"p99\":{},\"samples\":{}}},\
              \"overload\":{{\"shed_503\":{},\"rate_limited_429\":{},\"timeouts_408\":{},\"panics\":{},\
              \"accept_errors\":{},\"inflight\":{},\"queue_depth\":{},\"busy_workers\":{}}},\
-             \"readiness\":{{\"backend\":\"{}\",\"poll_wakeups\":{},\"spurious_wakeups\":{},\"adopt_errors\":{}}},\
+             \"readiness\":{{\"poll_wakeups\":{},\"spurious_wakeups\":{},\"adopt_errors\":{}}},\
              \"persistence\":{{\"enabled\":{persist_enabled},\"records_written\":{},\"bytes_written\":{},\
              \"records_replayed\":{},\"recovered_sessions\":{},\"compactions\":{},\"write_errors\":{}}},\
              \"sessions\":{{\"live\":{},\"capacity\":{},\"hits\":{},\"misses\":{},\"evictions\":{},\"shards\":[{shards}]}},\
@@ -739,7 +655,6 @@ impl ServerState {
             self.live_connections.load(Ordering::SeqCst),
             self.pool_monitor.queue_depth(),
             self.pool_monitor.in_flight(),
-            self.readiness.name(),
             snap.poll_wakeups,
             snap.poll_spurious,
             snap.adopt_errors,
@@ -860,7 +775,7 @@ struct Conn {
     close_after_flush: bool,
     /// The peer half-closed its sending side (read returned 0).
     read_closed: bool,
-    /// Remove the connection at the end of this sweep.
+    /// Remove the connection at the end of this service pass.
     dead: bool,
     /// Whether this connection holds an admission slot
     /// (`live_connections`). Shed connections are adopted *past* the
@@ -928,28 +843,22 @@ impl LoopInbox {
 
 struct LoopShared {
     inbox: Mutex<LoopInbox>,
-    wake: Condvar,
-    /// Self-pipe write side (poll backend only): interrupts the loop's
-    /// blocked `poll(2)`. The condvar above covers the sweep backend.
-    waker: Option<Waker>,
+    /// Self-pipe write side: interrupts the loop's blocked `poll(2)`.
+    waker: Waker,
 }
 
 impl LoopShared {
-    fn new(waker: Option<Waker>) -> Self {
+    fn new(waker: Waker) -> Self {
         Self {
             inbox: Mutex::new(LoopInbox::default()),
-            wake: Condvar::new(),
             waker,
         }
     }
 
-    /// Wakes the owning loop out of whichever park its backend uses.
-    /// Call after pushing into the inbox (and dropping the lock).
+    /// Wakes the owning loop out of its `poll(2)` park. Call after
+    /// pushing into the inbox (and dropping the lock).
     fn notify(&self) {
-        self.wake.notify_all();
-        if let Some(waker) = &self.waker {
-            waker.wake();
-        }
+        self.waker.wake();
     }
 }
 
@@ -1229,22 +1138,21 @@ fn conn_interest(conn: &Conn) -> Option<PollInterest> {
         return None;
     }
     Some(PollInterest {
-        fd: poller::stream_fd(&conn.stream),
+        fd: conn.stream.as_raw_fd(),
         read,
         write,
     })
 }
 
-/// An event loop: owns its connections, discovers readiness via its
-/// backend (a blocking `poll(2)` with deadline-derived timeout, or the
-/// sweep fallback's condvar tick), and runs the same service pass either
-/// way.
+/// An event loop: owns its connections, runs a service pass over them,
+/// and parks in a blocking `poll(2)` with a deadline-derived timeout
+/// once a pass makes no progress.
 fn run_event_loop(
     state: &Arc<ServerState>,
     shared: &Arc<LoopShared>,
     pool: &WorkerPool,
     deadlines: ConnDeadlines,
-    mut backend: Option<Poller>,
+    mut poller: Poller,
 ) {
     let mut conns: Vec<Conn> = Vec::new();
     // Completion routing: conn id → slot in `conns`, rebuilt on reap —
@@ -1355,49 +1263,28 @@ fn run_event_loop(
             std::thread::yield_now();
             continue;
         }
-        match backend.as_mut() {
-            Some(poller) => {
-                // Re-check the inbox under its lock before blocking; a
-                // wake issued after this check still ends the poll,
-                // because the wake byte stays queued in the self-pipe.
-                if lock(&shared.inbox).has_work() {
-                    continue;
-                }
-                interests.clear();
-                interests.extend(conns.iter().filter_map(conn_interest));
-                let timeout = conns
-                    .iter()
-                    .filter_map(|c| conn_deadline(c, &deadlines))
-                    .min()
-                    .map(|t| t.saturating_duration_since(now));
-                match poller.wait(&interests, timeout) {
-                    Ok(outcome) => {
-                        state.metrics.record_poll_wakeup();
-                        poll_reported_ready = outcome.ready > 0 && !outcome.woken;
-                    }
-                    Err(_) => {
-                        // poll(2) failing outright (ENOMEM and friends)
-                        // has no recovery that preserves blocking
-                        // semantics; degrade to the sweep tick for this
-                        // park rather than spin.
-                        let inbox = lock(&shared.inbox);
-                        if !inbox.has_work() {
-                            let _ = shared.wake.wait_timeout(inbox, IDLE_TICK);
-                        }
-                    }
-                }
+        // Re-check the inbox under its lock before blocking; a wake
+        // issued after this check still ends the poll, because the wake
+        // byte stays queued in the self-pipe.
+        if lock(&shared.inbox).has_work() {
+            continue;
+        }
+        interests.clear();
+        interests.extend(conns.iter().filter_map(conn_interest));
+        let timeout = conns
+            .iter()
+            .filter_map(|c| conn_deadline(c, &deadlines))
+            .min()
+            .map(|t| t.saturating_duration_since(now));
+        match poller.wait(&interests, timeout) {
+            Ok(outcome) => {
+                state.metrics.record_poll_wakeup();
+                poll_reported_ready = outcome.ready > 0 && !outcome.woken;
             }
-            None => {
-                let tick = if conns.is_empty() {
-                    EMPTY_TICK
-                } else {
-                    IDLE_TICK
-                };
-                let inbox = lock(&shared.inbox);
-                if !inbox.has_work() {
-                    let _ = shared.wake.wait_timeout(inbox, tick);
-                }
-            }
+            // poll(2) failing outright (ENOMEM and friends) has no
+            // recovery that preserves blocking semantics; back off
+            // briefly rather than spin, then retry.
+            Err(_) => std::thread::sleep(POLL_ERROR_BACKOFF),
         }
     }
 }
@@ -1491,7 +1378,8 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates the bind failure (or a thread-spawn failure).
+    /// Propagates the bind failure, a poller setup failure (fd
+    /// exhaustion), or a thread-spawn failure.
     pub fn start(addr: &str, config: ServerConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
@@ -1503,27 +1391,9 @@ impl Server {
             .max_connections
             .unwrap_or(config.workers + pool.queue_capacity());
         let loop_count = config.event_loops.max(1);
-        // Resolve the readiness backend once, before anything spawns:
-        // the backend must be uniform across loops, so a poller that
-        // fails to build (non-unix, fd exhaustion) falls the whole
-        // server back to sweep rather than mixing.
-        let mut readiness = config.readiness;
-        let mut backends: Vec<(Option<Poller>, Option<Waker>)> = Vec::with_capacity(loop_count);
-        if readiness == ReadinessBackend::Poll {
-            for _ in 0..loop_count {
-                match Poller::new() {
-                    Ok((poller, waker)) => backends.push((Some(poller), Some(waker))),
-                    Err(_) => {
-                        readiness = ReadinessBackend::Sweep;
-                        break;
-                    }
-                }
-            }
-        }
-        if readiness == ReadinessBackend::Sweep {
-            backends.clear();
-            backends.resize_with(loop_count, || (None, None));
-        }
+        let pollers = (0..loop_count)
+            .map(|_| Poller::new())
+            .collect::<std::io::Result<Vec<_>>>()?;
         // Open the journal (and replay any previous run's records)
         // before the session table exists: the eviction hook has to be
         // installed while the table is still exclusively owned, and a
@@ -1569,7 +1439,6 @@ impl Server {
             faults: config.faults.clone(),
             live_connections: AtomicUsize::new(0),
             inline_busy: AtomicUsize::new(0),
-            readiness,
             journal: journal.clone(),
             persist: persist_stats,
         });
@@ -1613,7 +1482,7 @@ impl Server {
         };
         let mut loops = Vec::with_capacity(loop_count);
         let mut loop_handles = Vec::with_capacity(loop_count);
-        for (i, (poller, waker)) in backends.into_iter().enumerate() {
+        for (i, (poller, waker)) in pollers.into_iter().enumerate() {
             let shared = Arc::new(LoopShared::new(waker));
             let loop_state = Arc::clone(&state);
             let loop_shared = Arc::clone(&shared);
