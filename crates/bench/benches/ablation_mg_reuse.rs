@@ -1,7 +1,7 @@
 //! Ablation: amortizing multigrid setup across solves of one sparsity
 //! pattern.
 //!
-//! Three comparisons:
+//! Three comparisons, all on the smoothed-aggregation hierarchy:
 //!
 //! * full `MultigridHierarchy::build` vs numeric-only `refresh` on the
 //!   32 k-cell box — the tentpole saving: aggregation,
@@ -14,7 +14,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use ttsv::linalg::{MultigridConfig, MultigridHierarchy, MultigridPreconditioner, Preconditioner};
+use ttsv::linalg::{MultigridHierarchy, MultigridPreconditioner, Preconditioner};
 use ttsv::prelude::*;
 use ttsv::validate::fem_adapter::CartesianReference;
 use ttsv_bench::{block, mg_box_matrix};
@@ -25,11 +25,10 @@ fn bench(c: &mut Criterion) {
 
     let a1 = mg_box_matrix(1.0);
     let a2 = mg_box_matrix(3.0);
-    let config = MultigridConfig::default();
     group.bench_function("hierarchy_build/box32k", |b| {
-        b.iter(|| MultigridHierarchy::build(black_box(&a1), &config).expect("coarsens"))
+        b.iter(|| MultigridHierarchy::build(black_box(&a1)).expect("coarsens"))
     });
-    let mut hierarchy = MultigridHierarchy::build(&a1, &config).expect("coarsens");
+    let mut hierarchy = MultigridHierarchy::build(&a1).expect("coarsens");
     group.bench_function("hierarchy_refresh/box32k", |b| {
         b.iter(|| hierarchy.refresh(black_box(&a2)).expect("same pattern"))
     });
@@ -37,9 +36,9 @@ fn bench(c: &mut Criterion) {
     let n = 32 * 32 * 32;
     let r: Vec<f64> = (0..n).map(|i| ((i % 17) as f64) - 8.0).collect();
     let mut z = vec![0.0; n];
-    let jacobi = MultigridPreconditioner::new(&a1, &config).expect("coarsens");
-    group.bench_function("vcycle_jacobi/box32k", |b| {
-        b.iter(|| jacobi.apply(black_box(&r), &mut z))
+    let mg = MultigridPreconditioner::new(&a1).expect("coarsens");
+    group.bench_function("vcycle_sa/box32k", |b| {
+        b.iter(|| mg.apply(black_box(&r), &mut z))
     });
 
     // End-to-end reuse on the workload where setup is a real fraction of

@@ -13,7 +13,7 @@
 use std::time::{Duration, Instant};
 
 use ttsv::fem::FemSolver;
-use ttsv::linalg::{MultigridConfig, MultigridHierarchy, MultigridPreconditioner, Preconditioner};
+use ttsv::linalg::{MultigridHierarchy, MultigridPreconditioner, Preconditioner};
 use ttsv::prelude::*;
 use ttsv::validate::sweep::run_sweep;
 use ttsv_bench::{block, gradient_floorplan, hotspot_floorplan, mg_box_matrix};
@@ -41,14 +41,10 @@ const BASELINE_PR9_NS: &[(&str, u128)] = &[
     ("table1_segments/B(1000)", 172_017),
     ("ablation_fem_precond/multigrid/coarse", 892_173),
     ("ablation_fem_precond/direct_banded/coarse", 96_795),
-    ("mg_hierarchy/build/box32k", 6_578_039),
-    ("mg_hierarchy/refresh/box32k", 1_585_385),
     ("mg_hierarchy/refresh_flat/box32k", 6_375_282),
-    ("mg_vcycle/jacobi/box32k", 871_143),
     ("fem_mg_sweep/rebuild", 93_949_634),
     ("fem_mg_sweep/reuse", 73_632_158),
     ("floorplan_chip/hotspot32/model_b100", 122_667),
-    ("floorplan_chip/hotspot32/model_b100/no_dedup", 14_810_663),
     ("floorplan_chip/gradient32/model_b100", 15_519_996),
     ("floorplan_chip/gradient32/factor_shared", 2_649_204),
     ("sweep_runner/fig4_quick", 832_982),
@@ -226,33 +222,25 @@ fn main() {
         sampler.bench(name, || problem.solve().expect("solvable"));
     }
 
-    // Multigrid setup amortization on the 32 k-cell Cartesian box. The
-    // `build`/`refresh` rows measure the default configuration (since
-    // PR 5: plain aggregation — single-stream flat refresh sweeps);
-    // `refresh_flat` measures the flat contraction-list refresh of the
-    // *smoothed-aggregation* hierarchy, the like-for-like successor of
-    // the PR-3/4 scatter refresh recorded in the baseline. One V-cycle
-    // gives the per-PCG-iteration cost.
+    // Multigrid setup amortization on the 32 k-cell Cartesian box, on the
+    // smoothed-aggregation hierarchy: a full build, the flat
+    // contraction-list numeric refresh (the like-for-like successor of
+    // the PR-3/4 scatter refresh recorded in the baseline), and one
+    // V-cycle — the per-PCG-iteration cost.
     let a1 = mg_box_matrix(1.0);
     let a2 = mg_box_matrix(3.0);
-    let config = MultigridConfig::default();
-    sampler.bench("mg_hierarchy/build/box32k", || {
-        MultigridHierarchy::build(&a1, &config).expect("coarsens")
+    sampler.bench("mg_hierarchy/build_sa/box32k", || {
+        MultigridHierarchy::build(&a1).expect("coarsens")
     });
-    let mut hierarchy = MultigridHierarchy::build(&a1, &config).expect("coarsens");
-    sampler.bench("mg_hierarchy/refresh/box32k", || {
-        hierarchy.refresh(&a2).expect("same pattern");
-    });
-    let sa_config = MultigridConfig::smoothed_aggregation();
-    let mut sa_hierarchy = MultigridHierarchy::build(&a1, &sa_config).expect("coarsens");
+    let mut hierarchy = MultigridHierarchy::build(&a1).expect("coarsens");
     sampler.bench("mg_hierarchy/refresh_flat/box32k", || {
-        sa_hierarchy.refresh(&a2).expect("same pattern");
+        hierarchy.refresh(&a2).expect("same pattern");
     });
     let n = 32 * 32 * 32;
     let r: Vec<f64> = (0..n).map(|i| ((i % 17) as f64) - 8.0).collect();
     let mut z = vec![0.0; n];
-    let jacobi = MultigridPreconditioner::new(&a1, &config).expect("coarsens");
-    sampler.bench("mg_vcycle/jacobi/box32k", || jacobi.apply(&r, &mut z));
+    let mg = MultigridPreconditioner::new(&a1).expect("coarsens");
+    sampler.bench("mg_vcycle/sa/box32k", || mg.apply(&r, &mut z));
 
     // Hierarchy reuse end to end: a 3-point radius sweep on the 3-D
     // Cartesian reference (the workload where multigrid setup is a real
@@ -274,8 +262,8 @@ fn main() {
     sampler.bench("fem_mg_sweep/reuse", || sweep_sum(&warm, &mg_points));
 
     // The floorplan engine on the 32×32 §IV-E maps: the hotspot map
-    // dedups 1024 tiles to 3 Model B solves; the dedup-off ablation and
-    // the all-distinct gradient map price the batch path itself, and
+    // dedups 1024 tiles to 3 Model B solves; the all-distinct gradient
+    // map prices the batch path itself, and
     // `factor_shared` prices the matrix-tier path (one ladder
     // factorization + 1024 four-lane back-substitutions). The engine
     // caches results across calls, so every row constructs a fresh engine
@@ -284,12 +272,6 @@ fn main() {
     let gradient = gradient_floorplan(32);
     sampler.bench("floorplan_chip/hotspot32/model_b100", || {
         ChipEngine::new()
-            .evaluate(&hotspot, &b100)
-            .expect("solvable")
-    });
-    sampler.bench("floorplan_chip/hotspot32/model_b100/no_dedup", || {
-        ChipEngine::new()
-            .with_dedup(false)
             .evaluate(&hotspot, &b100)
             .expect("solvable")
     });

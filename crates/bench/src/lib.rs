@@ -25,30 +25,30 @@
 //! | `ablation_fem_mesh` | — | FEM cost vs mesh resolution (coarse → fine) |
 //! | `ablation_fem_precond` | — | FEM linear solver: multigrid-PCG vs direct banded, two mesh resolutions (the evidence for `FemSolver::Auto`'s rule) |
 //! | `ablation_mg_reuse` | — | multigrid setup amortization: hierarchy build vs numeric refresh, V-cycle cost, sweep with rebuilt vs pooled hierarchies |
-//! | `floorplan_chip` | §IV-E generalized | full-chip 32×32 power-map evaluation through the batch engine: dedup vs no-dedup, hotspot vs all-distinct gradient maps, factor-once batched vs per-tile solves, warm cross-call cache (via [`hotspot_floorplan`]/[`gradient_floorplan`]) |
+//! | `floorplan_chip` | §IV-E generalized | full-chip 32×32 power-map evaluation through the batch engine: hotspot vs all-distinct gradient maps, factor-once batched vs per-tile solves, warm cross-call cache (via [`hotspot_floorplan`]/[`gradient_floorplan`]) |
 //!
 //! # Machine-readable perf tracking
 //!
 //! `cargo run --release -p ttsv-bench --bin bench_json [-- PATH [--check COMMITTED]]`
 //! times the headline workloads (the fig4 FEM sweep, Model B at deep
-//! segment counts, the FEM solver ablation, the hierarchy
-//! build/refresh split for both the plain-aggregation default and the
-//! smoothed-aggregation preset, the bounded sweep runner, the 32×32
-//! floorplan-engine evaluations including the factor-once batched path,
+//! segment counts, the FEM solver ablation, the smoothed-aggregation
+//! hierarchy's build/refresh split and V-cycle, the bounded sweep runner,
+//! the 32×32 floorplan-engine evaluations including the factor-once
+//! batched path,
 //! and the `ttsv-serve` session server timed over a real loopback socket:
 //! cold registration, warm two-tile power deltas in both full-report and
 //! delta-response form, a sustained 32-request burst on one connection,
 //! and the same 32 updates fanned out across 32 concurrent connections)
-//! with its own median-of-N harness and writes them to `BENCH_8.json`
-//! (default path). The file also embeds the PR-6 baseline numbers (the
-//! committed `BENCH_6.json` medians) for the carried-over workloads, so
+//! with its own median-of-N harness and writes them to `BENCH_10.json`
+//! (default path). The file also embeds the PR-9 baseline numbers (the
+//! committed `BENCH_9.json` medians) for the carried-over workloads, so
 //! each future PR can re-run the binary and compare the trajectory; a
 //! schema sanity test in this crate parses the committed file, checks
 //! the required rows, and bounds the acceptance-criteria medians against
 //! that baseline (the committed recording is compared outright;
 //! regenerated files only need to stay within 2× — absolute nanoseconds
 //! are machine-dependent). CI runs the emitter every push with
-//! `--check BENCH_8.json`, which fails the build if any row shared with
+//! `--check BENCH_10.json`, which fails the build if any row shared with
 //! the committed recording regresses past 1.5×.
 
 #![forbid(unsafe_code)]

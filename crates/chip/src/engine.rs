@@ -21,11 +21,12 @@
 //!   density.
 //!
 //! Both tiers are transparent: for deterministic models every cached
-//! value is bit-identical to a fresh solve (the property suites compare
-//! the paths bitwise), so caching changes cost, never results. The
-//! [`ChipEngine::solves`] / [`ChipEngine::factorizations`] counters make
-//! the cost observable — the serving tests assert that a power delta
-//! re-solves exactly the changed tiles.
+//! value is bit-identical to a fresh per-tile solve (the property suites
+//! compare the engine bitwise against that oracle), so caching changes
+//! cost, never results. The [`ChipEngine::solves`] /
+//! [`ChipEngine::factorizations`] counters make the cost observable — the
+//! serving tests assert that a power delta re-solves exactly the changed
+//! tiles.
 
 use std::any::Any;
 use std::collections::hash_map::Entry;
@@ -124,15 +125,14 @@ struct EngineCaches {
 /// tier for power-separable models — see the module docs for when each
 /// tier fires.
 ///
-/// Dedup and the worker count are observability/performance knobs only:
-/// for deterministic models the report is bit-identical for every setting
-/// (the property suite enforces it).
+/// The worker count and the cache caps change cost only: for
+/// deterministic models the report is bit-identical to solving every tile
+/// on its own, for every setting (the property suite enforces it).
 ///
 /// Cloning an engine starts with cold caches and zeroed counters.
 #[derive(Debug)]
 pub struct ChipEngine {
     workers: Option<usize>,
-    dedup: bool,
     scenario_cache_cap: usize,
     matrix_cache_cap: usize,
     caches: Mutex<EngineCaches>,
@@ -166,7 +166,6 @@ impl Clone for ChipEngine {
     fn clone(&self) -> Self {
         Self {
             workers: self.workers,
-            dedup: self.dedup,
             scenario_cache_cap: self.scenario_cache_cap,
             matrix_cache_cap: self.matrix_cache_cap,
             caches: Mutex::new(EngineCaches::default()),
@@ -186,13 +185,12 @@ impl Default for ChipEngine {
 }
 
 impl ChipEngine {
-    /// An engine with dedup enabled, cold caches, and the default worker
-    /// pool (`available_parallelism()`).
+    /// An engine with cold caches and the default worker pool
+    /// (`available_parallelism()`).
     #[must_use]
     pub fn new() -> Self {
         Self {
             workers: None,
-            dedup: true,
             scenario_cache_cap: DEFAULT_SCENARIO_CACHE_CAP,
             matrix_cache_cap: DEFAULT_MATRIX_CACHE_CAP,
             caches: Mutex::new(EngineCaches::default()),
@@ -277,15 +275,6 @@ impl ChipEngine {
         }
     }
 
-    /// Enables or disables dedup *and* the cross-call caches (enabled by
-    /// default; disabling evaluates every tile fresh — the transparency
-    /// tests compare both paths bitwise).
-    #[must_use]
-    pub fn with_dedup(mut self, dedup: bool) -> Self {
-        self.dedup = dedup;
-        self
-    }
-
     /// Model solves this engine has actually performed (cache misses),
     /// cumulative across calls. A repeat evaluation of an unchanged plan
     /// adds zero; a power-delta update adds exactly the changed tiles.
@@ -301,15 +290,15 @@ impl ChipEngine {
         self.factorizations.load(Ordering::Relaxed)
     }
 
-    /// Scenario-tier cache hits, cumulative across calls (only counted
-    /// while dedup is enabled — with dedup off the caches are bypassed).
+    /// Scenario-tier cache hits (distinct cells answered from the cache),
+    /// cumulative across calls.
     #[must_use]
     pub fn scenario_hits(&self) -> usize {
         self.scenario_hits.load(Ordering::Relaxed)
     }
 
-    /// Scenario-tier cache misses, cumulative across calls (only counted
-    /// while dedup is enabled).
+    /// Scenario-tier cache misses (distinct cells that had to be solved),
+    /// cumulative across calls.
     #[must_use]
     pub fn scenario_misses(&self) -> usize {
         self.scenario_misses.load(Ordering::Relaxed)
@@ -354,39 +343,24 @@ impl ChipEngine {
         for iy in 0..ny {
             for ix in 0..nx {
                 total_vias += plan.cells_in_tile(ix, iy);
-                let key = plan.cell_key(ix, iy);
-                let index = if self.dedup {
-                    match seen.entry(key) {
-                        Entry::Occupied(entry) => *entry.get(),
-                        Entry::Vacant(entry) => {
-                            let index = distinct.len();
-                            let mut bits =
-                                Vec::with_capacity(geometry.len() + entry.key().bits().len());
-                            bits.extend_from_slice(&geometry);
-                            bits.extend_from_slice(entry.key().bits());
-                            distinct.push((
-                                (ix, iy),
-                                EngineKey {
-                                    tag: tag.clone(),
-                                    bits,
-                                },
-                            ));
-                            entry.insert(index);
-                            index
-                        }
+                let index = match seen.entry(plan.cell_key(ix, iy)) {
+                    Entry::Occupied(entry) => *entry.get(),
+                    Entry::Vacant(entry) => {
+                        let index = distinct.len();
+                        let mut bits =
+                            Vec::with_capacity(geometry.len() + entry.key().bits().len());
+                        bits.extend_from_slice(&geometry);
+                        bits.extend_from_slice(entry.key().bits());
+                        distinct.push((
+                            (ix, iy),
+                            EngineKey {
+                                tag: tag.clone(),
+                                bits,
+                            },
+                        ));
+                        entry.insert(index);
+                        index
                     }
-                } else {
-                    let mut bits = Vec::with_capacity(geometry.len() + key.bits().len());
-                    bits.extend_from_slice(&geometry);
-                    bits.extend_from_slice(key.bits());
-                    distinct.push((
-                        (ix, iy),
-                        EngineKey {
-                            tag: tag.clone(),
-                            bits,
-                        },
-                    ));
-                    distinct.len() - 1
                 };
                 cell_of.push(index);
             }
@@ -394,9 +368,73 @@ impl ChipEngine {
         (cell_of, distinct, total_vias)
     }
 
+    /// Worker count for this engine's batches.
+    fn workers(&self) -> usize {
+        self.workers.unwrap_or_else(default_workers)
+    }
+
+    /// The scenario-tier path both entry points share: gathers the plan's
+    /// distinct cells, answers what it can from the scenario cache, hands
+    /// the misses — `(distinct index, representative tile)` pairs, in
+    /// distinct-cell order — to `solve_misses` (which returns one `ΔT` in
+    /// kelvin per miss, in the same order), caches the new values and
+    /// assembles the report.
+    fn evaluate_with<F>(
+        &self,
+        plan: &Floorplan,
+        model_name: String,
+        tag: &Arc<str>,
+        solve_misses: F,
+    ) -> Result<ChipReport, CoreError>
+    where
+        F: FnOnce(&[(usize, (usize, usize))]) -> Result<Vec<f64>, CoreError>,
+    {
+        let (cell_of, distinct, total_vias) = self.distinct_cells(plan, tag);
+        let distinct_count = distinct.len();
+
+        let mut cell_delta_t = vec![f64::NAN; distinct_count];
+        let mut misses: Vec<(usize, (usize, usize))> = Vec::new();
+        {
+            // Only cache lookups run under the lock; scenario and
+            // matrix-key construction (allocation-heavy) happen after it
+            // drops, so concurrent evaluations on a shared engine don't
+            // serialize.
+            let caches = self.caches.lock().expect("engine cache lock");
+            for (i, (tile, key)) in distinct.iter().enumerate() {
+                match caches.scenario.get(key) {
+                    Some(&dt) => cell_delta_t[i] = dt,
+                    None => misses.push((i, *tile)),
+                }
+            }
+        }
+        self.scenario_hits
+            .fetch_add(distinct_count - misses.len(), Ordering::Relaxed);
+        self.scenario_misses
+            .fetch_add(misses.len(), Ordering::Relaxed);
+
+        let solved = solve_misses(&misses)?;
+        self.solves.fetch_add(misses.len(), Ordering::Relaxed);
+        for ((i, _), dt) in misses.iter().zip(solved) {
+            cell_delta_t[*i] = dt;
+        }
+        // One pass moves every key into the cache (re-inserting a hit
+        // rewrites the same value — harmless and branch-free).
+        self.cache_scenarios(distinct, &cell_delta_t, misses.len());
+
+        let delta_t: Vec<f64> = cell_of.iter().map(|&i| cell_delta_t[i]).collect();
+        Ok(ChipReport::from_tiles(
+            model_name,
+            plan.nx(),
+            plan.ny(),
+            delta_t,
+            distinct_count,
+            total_vias,
+        ))
+    }
+
     /// Evaluates every tile's unit cell and assembles the chip `ΔT` map,
-    /// using the scenario-tier cache (when dedup is enabled) across
-    /// calls.
+    /// using the scenario-tier cache across calls; the distinct cells that
+    /// miss it are solved through [`ThermalModel::max_delta_t`].
     ///
     /// # Errors
     ///
@@ -408,64 +446,16 @@ impl ChipEngine {
         model: &(dyn ThermalModel + Sync),
     ) -> Result<ChipReport, CoreError> {
         let tag: Arc<str> = Arc::from(model.cache_tag());
-        let (cell_of, distinct, total_vias) = self.distinct_cells(plan, &tag);
-        let distinct_count = distinct.len();
-
-        // Partition the distinct cells into cache hits and cells to
-        // solve. With dedup off the cache is bypassed entirely.
-        let mut cell_delta_t = vec![f64::NAN; distinct_count];
-        let mut misses: Vec<usize> = Vec::new();
-        {
-            // Only cache lookups run under the lock; scenario
-            // construction (allocation-heavy) happens after it drops, so
-            // concurrent evaluations on a shared engine don't serialize.
-            let caches = self.caches.lock().expect("engine cache lock");
-            for (i, (_, key)) in distinct.iter().enumerate() {
-                if self.dedup {
-                    if let Some(&dt) = caches.scenario.get(key) {
-                        cell_delta_t[i] = dt;
-                        continue;
-                    }
-                }
-                misses.push(i);
-            }
-        }
-        if self.dedup {
-            self.scenario_hits
-                .fetch_add(distinct_count - misses.len(), Ordering::Relaxed);
-            self.scenario_misses
-                .fetch_add(misses.len(), Ordering::Relaxed);
-        }
-        let mut to_solve: Vec<(usize, Scenario)> = Vec::with_capacity(misses.len());
-        for i in misses {
-            let (ix, iy) = distinct[i].0;
-            to_solve.push((i, plan.tile_cell(ix, iy)?.scenario));
-        }
-
-        let workers = self.workers.unwrap_or_else(default_workers);
-        let solved = run_batch_with_workers(to_solve.len(), workers, |k| {
-            model.max_delta_t(&to_solve[k].1).map(|t| t.as_kelvin())
-        })?;
-        self.solves.fetch_add(to_solve.len(), Ordering::Relaxed);
-        for ((i, _), dt) in to_solve.iter().zip(&solved) {
-            cell_delta_t[*i] = *dt;
-        }
-
-        if self.dedup {
-            // One pass moves every key into the cache (re-inserting a
-            // hit rewrites the same value — harmless and branch-free).
-            self.cache_scenarios(distinct, &cell_delta_t, solved.len());
-        }
-
-        let delta_t: Vec<f64> = cell_of.iter().map(|&i| cell_delta_t[i]).collect();
-        Ok(ChipReport::from_tiles(
-            model.name(),
-            plan.nx(),
-            plan.ny(),
-            delta_t,
-            distinct_count,
-            total_vias,
-        ))
+        let workers = self.workers();
+        self.evaluate_with(plan, model.name(), &tag, |misses| {
+            let scenarios = misses
+                .iter()
+                .map(|&(_, (ix, iy))| plan.tile_cell(ix, iy).map(|cell| cell.scenario))
+                .collect::<Result<Vec<Scenario>, CoreError>>()?;
+            run_batch_with_workers(scenarios.len(), workers, |k| {
+                model.max_delta_t(&scenarios[k]).map(|t| t.as_kelvin())
+            })
+        })
     }
 
     /// Like [`ChipEngine::evaluate`], but for [`PowerSeparableModel`]s:
@@ -486,42 +476,28 @@ impl ChipEngine {
         model: &M,
     ) -> Result<ChipReport, CoreError> {
         let tag: Arc<str> = Arc::from(model.cache_tag());
-        let (cell_of, distinct, total_vias) = self.distinct_cells(plan, &tag);
-        let distinct_count = distinct.len();
-        let geometry = plan.geometry_bits();
-        let workers = self.workers.unwrap_or_else(default_workers);
+        self.evaluate_with(plan, model.name(), &tag, |misses| {
+            self.solve_factored(plan, model, &tag, misses)
+        })
+    }
 
-        // Scenario-tier pass: collect the distinct cells that still need
-        // a solve. Only cache lookups run under the lock (same convention
-        // as `evaluate`); matrix-key construction and grouping happen
-        // after it drops, so concurrent evaluations don't serialize.
-        let mut cell_delta_t = vec![f64::NAN; distinct_count];
-        let mut misses: Vec<usize> = Vec::new();
-        {
-            let caches = self.caches.lock().expect("engine cache lock");
-            for (i, (_, key)) in distinct.iter().enumerate() {
-                if self.dedup {
-                    if let Some(&dt) = caches.scenario.get(key) {
-                        cell_delta_t[i] = dt;
-                        continue;
-                    }
-                }
-                misses.push(i);
-            }
-        }
-        if self.dedup {
-            self.scenario_hits
-                .fetch_add(distinct_count - misses.len(), Ordering::Relaxed);
-            self.scenario_misses
-                .fetch_add(misses.len(), Ordering::Relaxed);
-        }
-        let mut to_solve: Vec<(usize, (usize, usize))> = Vec::with_capacity(misses.len());
+    /// The matrix-tier miss solver behind [`ChipEngine::evaluate_factored`]:
+    /// groups the misses by geometry, factorizes every geometry not
+    /// already cached, and back-substitutes each miss's power vector.
+    fn solve_factored<M: PowerSeparableModel + Sync>(
+        &self,
+        plan: &Floorplan,
+        model: &M,
+        tag: &Arc<str>,
+        misses: &[(usize, (usize, usize))],
+    ) -> Result<Vec<f64>, CoreError> {
+        let geometry = plan.geometry_bits();
+        let workers = self.workers();
         let mut matrix_keys: Vec<EngineKey> = Vec::new();
         let mut matrix_index: KeyMap<EngineKey, usize> = KeyMap::default();
-        let mut matrix_of: Vec<usize> = Vec::new();
+        let mut matrix_of: Vec<usize> = Vec::with_capacity(misses.len());
         let mut matrix_rep: Vec<(usize, usize)> = Vec::new();
-        for i in misses {
-            let (ix, iy) = distinct[i].0;
+        for &(_, (ix, iy)) in misses {
             let mut bits = geometry.clone();
             bits.push(plan.matrix_bits(ix, iy));
             let mkey = EngineKey {
@@ -539,7 +515,6 @@ impl ChipEngine {
                 }
             };
             matrix_of.push(mi);
-            to_solve.push((i, (ix, iy)));
         }
 
         // Matrix tier: factorize every distinct geometry not already
@@ -549,7 +524,7 @@ impl ChipEngine {
         {
             let caches = self.caches.lock().expect("engine cache lock");
             for (mi, mkey) in matrix_keys.iter().enumerate() {
-                let cached = self.dedup.then(|| caches.matrix.get(mkey)).flatten();
+                let cached = caches.matrix.get(mkey);
                 match cached.and_then(|any| any.clone().downcast::<M::Factorization>().ok()) {
                     Some(fact) => factorizations[mi] = Some(fact),
                     None => missing.push(mi),
@@ -568,7 +543,7 @@ impl ChipEngine {
             // Same generational bound as the scenario tier: a working set
             // past the cap is not cached; one that no longer fits beside
             // the existing entries clears the tier (counted as evictions).
-            let cache_matrices = self.dedup && missing.len() <= self.matrix_cache_cap;
+            let cache_matrices = missing.len() <= self.matrix_cache_cap;
             if cache_matrices && caches.matrix.len() + missing.len() > self.matrix_cache_cap {
                 self.evictions
                     .fetch_add(caches.matrix.len(), Ordering::Relaxed);
@@ -606,37 +581,22 @@ impl ChipEngine {
             let powers: Vec<Vec<Power>> = ks
                 .iter()
                 .map(|&k| {
-                    let (_, (ix, iy)) = &to_solve[k];
-                    plan.tile_cell_powers(*ix, *iy)
+                    let (_, (ix, iy)) = misses[k];
+                    plan.tile_cell_powers(ix, iy)
                 })
                 .collect();
             model
                 .solve_with_powers_batch(fact, &powers)
                 .map(|ts| ts.into_iter().map(|t| t.as_kelvin()).collect::<Vec<_>>())
         })?;
-        self.solves.fetch_add(to_solve.len(), Ordering::Relaxed);
 
+        let mut delta_t = vec![f64::NAN; misses.len()];
         for ((_, ks), dts) in jobs.iter().zip(&solved_jobs) {
             for (&k, dt) in ks.iter().zip(dts) {
-                cell_delta_t[to_solve[k].0] = *dt;
+                delta_t[k] = *dt;
             }
         }
-        drop(jobs);
-
-        if self.dedup {
-            // One pass moves every key into the scenario cache.
-            self.cache_scenarios(distinct, &cell_delta_t, to_solve.len());
-        }
-
-        let delta_t: Vec<f64> = cell_of.iter().map(|&i| cell_delta_t[i]).collect();
-        Ok(ChipReport::from_tiles(
-            model.name(),
-            plan.nx(),
-            plan.ny(),
-            delta_t,
-            distinct_count,
-            total_vias,
-        ))
+        Ok(delta_t)
     }
 }
 

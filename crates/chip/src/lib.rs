@@ -46,8 +46,8 @@
 //!   factorization.
 //!
 //! The [`ChipEngine::solves`] and [`ChipEngine::factorizations`]
-//! counters expose what actually ran; the property suites assert both
-//! tiers (and the factored path) are bitwise-transparent.
+//! counters expose what actually ran; the property suites check both
+//! tiers (and the factored path) bitwise against direct per-tile solves.
 //!
 //! In the uniform-map limit the engine reproduces the single-unit-cell
 //! case study (the golden suite pins this).

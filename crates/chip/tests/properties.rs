@@ -1,7 +1,8 @@
 //! Property tests for the floorplan engine: power conservation under the
-//! tiling, dedup-cache transparency, and worker-count determinism of the
-//! batch runner — randomized over grid shapes, plane counts, quantized
-//! power levels, and via densities.
+//! tiling, bitwise agreement of both cached evaluation paths with a
+//! per-tile oracle, and worker-count determinism of the batch runner —
+//! randomized over grid shapes, plane counts, quantized power levels, and
+//! via densities.
 
 use proptest::prelude::*;
 use ttsv_chip::{ChipEngine, Floorplan, PowerMap, ViaDensityMap};
@@ -73,6 +74,19 @@ fn model() -> ModelA {
     ModelA::with_coefficients(CaseStudy::paper_fitting())
 }
 
+/// The oracle the engine is checked against: every tile's unit cell
+/// solved on its own, with no dedup and no cache, in row-major order.
+fn per_tile(plan: &Floorplan, model: &dyn ThermalModel) -> Vec<f64> {
+    let mut out = Vec::with_capacity(plan.tiles());
+    for iy in 0..plan.ny() {
+        for ix in 0..plan.nx() {
+            let scenario = plan.tile_cell(ix, iy).expect("valid tile").scenario;
+            out.push(model.max_delta_t(&scenario).expect("solvable").as_kelvin());
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -102,28 +116,34 @@ proptest! {
         }
     }
 
-    /// The dedup cache is transparent: cached and uncached evaluations of
-    /// the same plan are bit-identical, and dedup never solves more cells
-    /// than tiles.
+    /// Dedup and both cache tiers are transparent: `evaluate` (Model A)
+    /// and `evaluate_factored` (Model B(20)) reproduce the per-tile oracle
+    /// bit for bit — every tile, the hottest value and its tile — and
+    /// never solve more distinct cells than there are tiles.
     #[test]
-    fn dedup_is_bitwise_transparent(p in plan_params()) {
+    fn engine_matches_per_tile_oracle(p in plan_params()) {
         let plan = build(&p);
-        let model = model();
-        let cached = ChipEngine::new().evaluate(&plan, &model).expect("solvable");
-        let uncached = ChipEngine::new()
-            .with_dedup(false)
-            .evaluate(&plan, &model)
-            .expect("solvable");
-        prop_assert_eq!(&cached.delta_t, &uncached.delta_t);
-        prop_assert_eq!(cached.max_delta_t.to_bits(), uncached.max_delta_t.to_bits());
-        prop_assert_eq!(cached.mean_delta_t.to_bits(), uncached.mean_delta_t.to_bits());
-        prop_assert_eq!(cached.p99_delta_t.to_bits(), uncached.p99_delta_t.to_bits());
-        prop_assert_eq!(
-            (cached.argmax_ix, cached.argmax_iy),
-            (uncached.argmax_ix, uncached.argmax_iy)
-        );
-        prop_assert!(cached.distinct_cells <= uncached.distinct_cells);
-        prop_assert_eq!(uncached.distinct_cells, plan.tiles());
+        let (model_a, model_b) = (model(), ModelB::paper_b20());
+        let reports = [
+            (ChipEngine::new().evaluate(&plan, &model_a), per_tile(&plan, &model_a)),
+            (ChipEngine::new().evaluate_factored(&plan, &model_b), per_tile(&plan, &model_b)),
+        ];
+        for (report, oracle) in reports {
+            let report = report.expect("solvable");
+            let bits = |v: &[f64]| v.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&report.delta_t), bits(&oracle));
+            // The hottest tile: first maximum in row-major order.
+            let (argmax, max) = oracle
+                .iter()
+                .enumerate()
+                .fold((0, f64::NEG_INFINITY), |best, (i, &t)| if t > best.1 { (i, t) } else { best });
+            prop_assert_eq!(report.max_delta_t.to_bits(), max.to_bits());
+            prop_assert_eq!(
+                (report.argmax_ix, report.argmax_iy),
+                (argmax % plan.nx(), argmax / plan.nx())
+            );
+            prop_assert!(report.distinct_cells <= plan.tiles());
+        }
     }
 
     /// The factor-once batched path is equivalent to per-tile solves:
@@ -135,13 +155,11 @@ proptest! {
     fn factored_batch_matches_per_tile_solves(p in plan_params()) {
         let plan = build(&p);
         let model = ModelB::paper_b20();
-        let per_tile = ChipEngine::new()
-            .with_dedup(false)
-            .evaluate(&plan, &model)
-            .expect("solvable");
+        let per_tile = per_tile(&plan, &model);
         let engine = ChipEngine::new();
         let factored = engine.evaluate_factored(&plan, &model).expect("solvable");
-        for (ft, pt) in factored.delta_t.iter().zip(&per_tile.delta_t) {
+        prop_assert_eq!(factored.delta_t.len(), per_tile.len());
+        for (ft, pt) in factored.delta_t.iter().zip(&per_tile) {
             prop_assert!(
                 ft.to_bits() == pt.to_bits(),
                 "factored {ft} vs per-tile {pt}"

@@ -15,7 +15,7 @@
 //! instead of rebuilding it.
 
 use ttsv_linalg::{
-    solve_pcg_into, CsrMatrix, IterativeConfig, LinalgError, MultigridConfig, MultigridHierarchy,
+    solve_pcg_into, CsrMatrix, IterativeConfig, LinalgError, MultigridHierarchy,
     MultigridPreconditioner, PcgWorkspace,
 };
 
@@ -32,11 +32,8 @@ pub enum FemSolver {
     /// iteration count is 0).
     DirectBanded,
     /// Conjugate gradients preconditioned by a smoothed-aggregation
-    /// multigrid V-cycle ([`MultigridConfig::smoothed_aggregation`]). The
-    /// FEM solves are iteration-count-dominated, so they keep the fully
-    /// smoothed prolongators (≈2.5× fewer PCG iterations than the
-    /// plain-aggregation [`MultigridConfig::default`]) and amortize the
-    /// heavier setup through the pooled-hierarchy refresh path.
+    /// multigrid V-cycle ([`MultigridPreconditioner`]), with the setup
+    /// amortized through the pooled-hierarchy refresh path.
     Multigrid,
 }
 
@@ -112,14 +109,13 @@ impl MultigridContext {
         self.refreshes
     }
 
-    /// Builds or refreshes the preconditioner for `a` under `config`,
-    /// reusing the cached hierarchy when the sparsity pattern (and config)
-    /// still match.
-    fn prepare(&mut self, a: &CsrMatrix, config: &MultigridConfig) -> Result<(), LinalgError> {
+    /// Builds or refreshes the preconditioner for `a`, reusing the cached
+    /// hierarchy when the sparsity pattern still matches.
+    fn prepare(&mut self, a: &CsrMatrix) -> Result<(), LinalgError> {
         let reusable = self
             .pre
             .as_ref()
-            .is_some_and(|p| p.hierarchy().config() == config && p.hierarchy().pattern_matches(a));
+            .is_some_and(|p| p.hierarchy().pattern_matches(a));
         if reusable {
             self.pre
                 .as_mut()
@@ -127,7 +123,7 @@ impl MultigridContext {
                 .refresh(a)?;
             self.refreshes += 1;
         } else {
-            self.pre = Some(MultigridPreconditioner::new(a, config)?);
+            self.pre = Some(MultigridPreconditioner::new(a)?);
             self.builds += 1;
         }
         Ok(())
@@ -149,10 +145,9 @@ pub(crate) fn solve_multigrid_pcg(
         Some(g) if g.len() == rhs.len() => g.to_vec(),
         _ => vec![0.0; rhs.len()],
     };
-    let mg_config = MultigridConfig::smoothed_aggregation();
     let stats = match mg {
         Some(ctx) => {
-            ctx.prepare(a, &mg_config)?;
+            ctx.prepare(a)?;
             // Split the context borrow so the cached PCG workspace is
             // reused alongside the prepared preconditioner.
             let MultigridContext { pre, workspace, .. } = ctx;
@@ -160,7 +155,7 @@ pub(crate) fn solve_multigrid_pcg(
             solve_pcg_into(a, rhs, pre, config, &mut x, workspace)?
         }
         None => {
-            let pre = MultigridPreconditioner::new(a, &mg_config)?;
+            let pre = MultigridPreconditioner::new(a)?;
             solve_pcg_into(a, rhs, &pre, config, &mut x, &mut PcgWorkspace::new())?
         }
     };

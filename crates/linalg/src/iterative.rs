@@ -255,7 +255,7 @@ pub fn solve_pcg_into<P: Preconditioner + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::precond::SsorPreconditioner;
+    use crate::multigrid::MultigridPreconditioner;
     use crate::sparse::CooBuilder;
 
     /// 1-D Poisson matrix: SPD, tridiagonal.
@@ -299,15 +299,15 @@ mod tests {
         let b = vec![1.0; n];
         let cfg = IterativeConfig::new(10_000, 1e-10);
         let plain = solve_cg(&a, &b, &cfg).unwrap();
-        let ssor = solve_pcg(&a, &b, &SsorPreconditioner::new(&a, 1.5), &cfg).unwrap();
+        let mg = solve_pcg(&a, &b, &MultigridPreconditioner::new(&a).unwrap(), &cfg).unwrap();
         assert!(
-            ssor.iterations < plain.iterations,
-            "SSOR {} vs plain {}",
-            ssor.iterations,
+            mg.iterations < plain.iterations,
+            "multigrid {} vs plain {}",
+            mg.iterations,
             plain.iterations
         );
         // Both must agree with each other.
-        for (x, y) in plain.solution.iter().zip(&ssor.solution) {
+        for (x, y) in plain.solution.iter().zip(&mg.solution) {
             assert!((x - y).abs() < 1e-6);
         }
     }

@@ -4,17 +4,18 @@
 //! scientific-computing stack, so everything the thermal models need is
 //! implemented here from scratch:
 //!
-//! * [`DenseMatrix`] with [LU](DenseMatrix::lu) (partial pivoting) —
-//!   Model A's small KCL systems and the multigrid coarsest-level solve.
+//! * [`DenseMatrix`] with [LU](DenseMatrix::lu) (partial pivoting) — the
+//!   thermal-network KCL systems (Model A) and the multigrid
+//!   coarsest-level solve.
 //! * [`Tridiagonal`] (Thomas algorithm), [`BandedMatrix`] (banded LU), and
 //!   [`BlockTridiagonal`] (2×2 block Thomas) — Model B's π-segment ladders
 //!   are banded SPD systems, solved `O(n)` by the dedicated block kernel.
 //! * [`CsrMatrix`] sparse storage with [conjugate-gradient](solve_cg)
 //!   solvers ([allocation-free and warm-startable](solve_pcg_into) via
-//!   [`PcgWorkspace`]), [SSOR](SsorPreconditioner) preconditioning (the
-//!   thermal-network solver), and a smoothed-aggregation
-//!   [multigrid](MultigridPreconditioner) V-cycle for the structured
-//!   finite-volume grids — the reference solver's iterative path.
+//!   [`PcgWorkspace`]) and a smoothed-aggregation
+//!   [multigrid](MultigridPreconditioner) V-cycle preconditioner for the
+//!   structured finite-volume grids — the reference solver's iterative
+//!   path.
 //! * Derivative-free optimizers ([`nelder_mead`], [`golden_section`]) — the
 //!   k₁/k₂ fitting-coefficient calibration.
 //!
@@ -56,11 +57,11 @@ pub use iterative::{
     solve_cg, solve_pcg, solve_pcg_into, IterativeConfig, PcgWorkspace, SolveReport, SolveStats,
 };
 pub use lu::LuDecomposition;
-pub use multigrid::{MultigridConfig, MultigridHierarchy, MultigridPreconditioner};
+pub use multigrid::{MultigridHierarchy, MultigridPreconditioner};
 pub use optimize::{
     golden_section, nelder_mead, GoldenSectionResult, NelderMeadConfig, NelderMeadResult,
 };
-pub use precond::{IdentityPreconditioner, Preconditioner, SsorPreconditioner};
+pub use precond::{IdentityPreconditioner, Preconditioner};
 pub use sparse::{CooBuilder, CsrMatrix};
 pub use tridiagonal::Tridiagonal;
 pub use vector::{axpy, dot, norm2, norm_inf, scale, sub};

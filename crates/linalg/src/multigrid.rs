@@ -6,17 +6,21 @@
 //! device sheets, huge outer-ring areas, 400 : 1.4 conductivity jumps).
 //! Coarsening therefore follows the *matrix*, not the index space:
 //! aggregates are grown greedily along strong connections
-//! (`|a_ij| ≥ θ·√(a_ii·a_jj)`), which on these grids automatically does
+//! (`|a_ij| ≥ θ·max_{k≠i}|a_ik|`), which on these grids automatically does
 //! semi-coarsening along the stiff direction. The tentative
 //! piecewise-constant prolongator is damped by one Jacobi sweep on the
 //! strength-filtered operator (`P = (I − ω_P·D⁻¹·A_F)·P_tent`, smoothed
 //! aggregation), restriction is the transpose, and every coarse operator
 //! is the Galerkin product `Pᵀ·A·P` — so the whole hierarchy stays SPD.
-//! Smoothing is weighted Jacobi, applied identically before and after
-//! coarse correction so one V-cycle stays a symmetric positive-definite
-//! operator: a valid
-//! [`Preconditioner`] for [`solve_pcg`](crate::solve_pcg) and a convergent
-//! standalone iteration (energy-norm contraction).
+//! Smoothing is one weighted-Jacobi sweep, applied identically before and
+//! after coarse correction so one V-cycle stays a symmetric
+//! positive-definite operator: a valid [`Preconditioner`] for
+//! [`solve_pcg`](crate::solve_pcg) and a convergent standalone iteration
+//! (energy-norm contraction).
+//!
+//! The method has no settings: every level's prolongator is smoothed,
+//! with `θ = 0.25`, `ω = 0.7`, `ω_P = 2/3`, at most 12 levels and a
+//! coarsest level of at most 48 unknowns.
 //!
 //! # Setup amortization
 //!
@@ -34,12 +38,12 @@
 //! lists* frozen at build time: every stored value of `T = A·P` and
 //! `A_c = Pᵀ·T` carries the flat index pairs into its source value arrays,
 //! so a refresh is a set of branch-free multiply-add sweeps (threaded past
-//! [`MultigridConfig::parallel_threshold`]) instead of hashed scatter
-//! accumulation — same bits, a fraction of the time.
+//! 2¹⁶ pairs) instead of hashed scatter accumulation — same bits, a
+//! fraction of the time.
 //!
 //! On the finest level the smoothing sweeps and residual computations are
-//! row-chunked across scoped threads once the grid passes
-//! [`MultigridConfig::parallel_threshold`]; every row is computed by the
+//! row-chunked across scoped threads once the grid passes 2¹⁶ unknowns;
+//! every row is computed by the
 //! same arithmetic regardless of the chunking, so threaded and serial
 //! V-cycles produce identical results.
 
@@ -51,84 +55,34 @@ use crate::lu::LuDecomposition;
 use crate::precond::Preconditioner;
 use crate::sparse::CsrMatrix;
 
-/// Hierarchy and smoothing knobs for [`MultigridPreconditioner`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MultigridConfig {
-    /// Maximum hierarchy depth including the coarsest level.
-    pub max_levels: usize,
-    /// Stop coarsening once a level has at most this many unknowns; that
-    /// level is factorized densely and solved exactly.
-    pub coarsest_size: usize,
-    /// Weighted-Jacobi sweeps before restriction.
-    pub pre_smooth: usize,
-    /// Weighted-Jacobi sweeps after prolongation (keep equal to
-    /// `pre_smooth` so the V-cycle stays symmetric for CG).
-    pub post_smooth: usize,
-    /// Jacobi damping factor `ω ∈ (0, 1]`.
-    pub jacobi_weight: f64,
-    /// Prolongator damping factor `ω_P ∈ (0, 1]` for the smoothed
-    /// aggregation (2/3 is the classical choice for stencils with
-    /// `ρ(D⁻¹A) ≈ 2`).
-    pub prolongator_weight: f64,
-    /// Strength-of-connection threshold `θ ∈ [0, 1)`: `j` is a strong
-    /// neighbour of `i` when `|a_ij| ≥ θ·max_{k≠i}|a_ik|`. Relative to the
-    /// row maximum (not the diagonal), so every non-isolated node keeps at
-    /// least one strong neighbour and coarsening can never stall.
-    pub strength_threshold: f64,
-    /// Finest-level unknown count at which smoothing/residual sweeps start
-    /// running on scoped worker threads. Each sweep spawns its own scoped
-    /// threads, so threading only pays once per-sweep work dwarfs the
-    /// spawn cost — measured break-even is ≈3·10⁴ unknowns on an 8-core
-    /// box, hence the 2¹⁶ default. `usize::MAX` forces serial V-cycles;
-    /// `1` forces threading (used by the determinism tests). The same
-    /// threshold gates the flat Galerkin refresh sweeps (by pair count).
-    pub parallel_threshold: usize,
-    /// How many fine levels get a *smoothed* prolongator
-    /// (`P = (I − ω_P·D⁻¹·A_F)·P_tent`); deeper levels use the tentative
-    /// piecewise-constant one. Smoothing below the finest level buys
-    /// little convergence on these FVM stacks but inflates the coarse
-    /// Galerkin operators (and therefore every numeric refresh) several
-    /// fold — plain aggregation on coarse levels is the classical
-    /// compromise (Notay's AGMG). `usize::MAX` smooths everywhere (the
-    /// pre-PR-5 behavior); `0` is plain aggregation multigrid.
-    pub smoothed_levels: usize,
-}
+/// Maximum hierarchy depth including the coarsest level.
+const MAX_LEVELS: usize = 12;
 
-impl Default for MultigridConfig {
-    fn default() -> Self {
-        Self {
-            max_levels: 12,
-            coarsest_size: 48,
-            pre_smooth: 1,
-            post_smooth: 1,
-            jacobi_weight: 0.7,
-            prolongator_weight: 2.0 / 3.0,
-            strength_threshold: 0.25,
-            parallel_threshold: 65_536,
-            smoothed_levels: 0,
-        }
-    }
-}
+/// Coarsening stops once a level has at most this many unknowns; that
+/// level is factorized densely and solved exactly.
+const COARSEST_SIZE: usize = 48;
 
-impl MultigridConfig {
-    /// Classic smoothed aggregation: every level's prolongator is damped-
-    /// Jacobi smoothed (the pre-PR-5 default). Roughly 2.5× fewer PCG
-    /// iterations than the plain-aggregation default on the 32 k-cell
-    /// box (26 vs 65), at several times the setup and numeric-refresh
-    /// cost — pick it for solve-dominated workloads (the FEM reference
-    /// solvers do) and keep the default for refresh-heavy amortized
-    /// sweeps.
-    #[must_use]
-    pub fn smoothed_aggregation() -> Self {
-        Self {
-            smoothed_levels: usize::MAX,
-            ..Self::default()
-        }
-    }
-}
+/// Jacobi damping factor `ω` of the smoother.
+const JACOBI_WEIGHT: f64 = 0.7;
+
+/// Prolongator damping factor `ω_P` (2/3 is the classical choice for
+/// stencils with `ρ(D⁻¹A) ≈ 2`).
+const PROLONGATOR_WEIGHT: f64 = 2.0 / 3.0;
+
+/// Strength-of-connection threshold `θ`: `j` is a strong neighbour of `i`
+/// when `|a_ij| ≥ θ·max_{k≠i}|a_ik|`. Relative to the row maximum (not the
+/// diagonal), so every non-isolated node keeps at least one strong
+/// neighbour and coarsening can never stall.
+const STRENGTH_THRESHOLD: f64 = 0.25;
+
+/// Finest-level unknown count at which smoothing/residual sweeps start
+/// running on scoped worker threads (the same threshold gates the flat
+/// Galerkin refresh sweeps, by pair count). Each sweep spawns its own
+/// scoped threads, so threading only pays once per-sweep work dwarfs the
+/// spawn cost — measured break-even is ≈3·10⁴ unknowns on an 8-core box.
+const PARALLEL_THRESHOLD: usize = 65_536;
 
 // ---------------------------------------------------------------------------
-// Threaded row-chunk helpers// ---------------------------------------------------------------------------
 // Threaded row-chunk helpers
 // ---------------------------------------------------------------------------
 
@@ -397,7 +351,6 @@ fn build_prolongator(
     strong: &[bool],
     agg: &[usize],
     n_agg: usize,
-    omega_p: f64,
     inv_diag: &[f64],
 ) -> RowMatrix {
     let n = a.rows();
@@ -415,12 +368,12 @@ fn build_prolongator(
         for e in lo..hi {
             let (j, v) = (a.col_indices()[e], a.values()[e]);
             if strong[e] {
-                scatter.add(agg[j], -omega_p * inv_diag[i] * v);
+                scatter.add(agg[j], -PROLONGATOR_WEIGHT * inv_diag[i] * v);
             } else {
                 lumped_diag += v; // diagonal and weak off-diagonals
             }
         }
-        scatter.add(agg[i], 1.0 - omega_p * inv_diag[i] * lumped_diag);
+        scatter.add(agg[i], 1.0 - PROLONGATOR_WEIGHT * inv_diag[i] * lumped_diag);
         scatter.flush(&mut col, &mut val);
         row_ptr.push(col.len());
     }
@@ -438,7 +391,7 @@ fn build_prolongator(
 /// sources (the lumped term) and which `P` slot is its `agg[i]` entry —
 /// so a refresh is gather–multiply–add sweeps with no scatter row and no
 /// per-entry strength branch.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct ProlongatorRefresh {
     /// `ptr[k]..ptr[k + 1]` bounds P value `k`'s strong-source range.
     ptr: Vec<usize>,
@@ -514,9 +467,9 @@ impl ProlongatorRefresh {
     /// per-slot accumulation order (and therefore the same bits) as the
     /// scatter-based [`build_prolongator`] numeric path, so refresh and
     /// build agree bit for bit.
-    fn refresh(&self, a_vals: &[f64], inv_diag: &[f64], omega_p: f64, p: &mut RowMatrix) {
+    fn refresh(&self, a_vals: &[f64], inv_diag: &[f64], p: &mut RowMatrix) {
         for (i, &inv) in inv_diag.iter().enumerate() {
-            let neg = -omega_p * inv;
+            let neg = -PROLONGATOR_WEIGHT * inv;
             let (plo, phi) = (p.row_ptr[i], p.row_ptr[i + 1]);
             for k in plo..phi {
                 let (lo, hi) = (self.ptr[k], self.ptr[k + 1]);
@@ -531,7 +484,7 @@ impl ProlongatorRefresh {
             for &e in &self.lump_src[llo..lhi] {
                 lumped_diag += a_vals[e as usize];
             }
-            p.val[self.diag_slot[i] as usize] += 1.0 - omega_p * inv * lumped_diag;
+            p.val[self.diag_slot[i] as usize] += 1.0 - PROLONGATOR_WEIGHT * inv * lumped_diag;
         }
     }
 }
@@ -568,7 +521,7 @@ fn build_t(a: &CsrMatrix, p: &RowMatrix) -> RowMatrix {
 /// output entry is an independent multiply-add reduction
 /// `out[k] = Σ_q a_vals[src_a[q]] · b_vals[src_b[q]]`, so the sweep
 /// row-chunks across scoped threads without changing a single bit.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct ContractionList {
     /// `ptr[k]..ptr[k + 1]` bounds entry `k`'s pair range.
     ptr: Vec<usize>,
@@ -596,37 +549,6 @@ impl ContractionList {
     /// bounds-check-free — only the two value gathers are checked.
     fn contract(&self, a_vals: &[f64], b_vals: &[f64], out: &mut [f64], threads: usize) {
         let (ptr, src_a, src_b) = (&self.ptr, &self.src_a, &self.src_b);
-        if src_b.is_empty() && !src_a.is_empty() {
-            // The right factor is the tentative unit prolongator: every
-            // product is `a·1.0 = a`, so only the left stream is stored
-            // and the sweep is a plain gathered sum — same bits, half the
-            // memory traffic.
-            return par_rows(out, threads, |start, chunk| {
-                for (k, o) in chunk.iter_mut().enumerate() {
-                    let e = start + k;
-                    let (lo, hi) = (ptr[e], ptr[e + 1]);
-                    let mut acc = 0.0;
-                    for &ia in &src_a[lo..hi] {
-                        acc += a_vals[ia as usize];
-                    }
-                    *o = acc;
-                }
-            });
-        }
-        if src_a.is_empty() && !src_b.is_empty() {
-            // Mirror case: the left factor is the unit prolongator.
-            return par_rows(out, threads, |start, chunk| {
-                for (k, o) in chunk.iter_mut().enumerate() {
-                    let e = start + k;
-                    let (lo, hi) = (ptr[e], ptr[e + 1]);
-                    let mut acc = 0.0;
-                    for &ib in &src_b[lo..hi] {
-                        acc += b_vals[ib as usize];
-                    }
-                    *o = acc;
-                }
-            });
-        }
         par_rows(out, threads, |start, chunk| {
             for (k, o) in chunk.iter_mut().enumerate() {
                 let e = start + k;
@@ -651,15 +573,8 @@ fn contraction_index(k: usize) -> u32 {
 /// Freezes the contraction list of `T = A·P` on its discovered pattern:
 /// pair `(e, kp)` with `col(e) = j` contributes `a[e]·p[kp]` to
 /// `T[i, p.col[kp]]`. The two-pass build (count, then place) keeps pairs
-/// grouped by destination in traversal order. With `p_is_unit` (a
-/// tentative prolongator, every value exactly `1.0`) the right stream is
-/// dropped and the sweep degenerates to a gathered sum.
-fn build_t_contraction(
-    a: &CsrMatrix,
-    p: &RowMatrix,
-    t: &RowMatrix,
-    p_is_unit: bool,
-) -> ContractionList {
+/// grouped by destination in traversal order.
+fn build_t_contraction(a: &CsrMatrix, p: &RowMatrix, t: &RowMatrix) -> ContractionList {
     let nnz = t.val.len();
     let total_pairs: usize = (0..a.rows())
         .map(|i| {
@@ -674,7 +589,7 @@ fn build_t_contraction(
         .sum();
     let mut ptr = vec![0usize; nnz + 1];
     let mut src_a = vec![0u32; total_pairs];
-    let mut src_b = vec![0u32; if p_is_unit { 0 } else { total_pairs }];
+    let mut src_b = vec![0u32; total_pairs];
     let mut pos = vec![usize::MAX; p.cols];
     // Row-local two-pass (count, then place): destinations are grouped per
     // row, so `ptr` grows in order and both passes hit cache-hot row data.
@@ -698,9 +613,7 @@ fn build_t_contraction(
             for kp in p.row_ptr[j]..p.row_ptr[j + 1] {
                 let dst = pos[p.col[kp]];
                 src_a[ptr[dst]] = contraction_index(e);
-                if !p_is_unit {
-                    src_b[ptr[dst]] = contraction_index(kp);
-                }
+                src_b[ptr[dst]] = contraction_index(kp);
                 ptr[dst] += 1;
             }
         }
@@ -735,7 +648,6 @@ fn build_coarse_contraction(
     pt_row: &[usize],
     pt_idx: &[usize],
     coarse: &CsrMatrix,
-    p_is_unit: bool,
 ) -> ContractionList {
     let nnz = coarse.values().len();
     let total_pairs: usize = (0..coarse.rows())
@@ -751,7 +663,7 @@ fn build_coarse_contraction(
         })
         .sum();
     let mut ptr = vec![0usize; nnz + 1];
-    let mut src_a = vec![0u32; if p_is_unit { 0 } else { total_pairs }];
+    let mut src_a = vec![0u32; total_pairs];
     let mut src_b = vec![0u32; total_pairs];
     let mut pos = vec![usize::MAX; coarse.cols()];
     // Row-local two-pass (count, then place) — see `build_t_contraction`.
@@ -778,9 +690,7 @@ fn build_coarse_contraction(
                 let cj = t.col[kt];
                 if cj >= c {
                     let dst = pos[cj];
-                    if !p_is_unit {
-                        src_a[ptr[dst]] = p_src;
-                    }
+                    src_a[ptr[dst]] = p_src;
                     src_b[ptr[dst]] = contraction_index(kt);
                     ptr[dst] += 1;
                 }
@@ -822,19 +732,6 @@ fn mirror_pairs(coarse: &CsrMatrix) -> Vec<(u32, u32)> {
         }
     }
     mirror
-}
-
-/// The tentative piecewise-constant prolongator: one unit entry per fine
-/// row, in its aggregate's column. Used below
-/// [`MultigridConfig::smoothed_levels`], where smoothing would inflate the
-/// Galerkin operators without buying convergence.
-fn build_tentative_prolongator(agg: &[usize], n_agg: usize) -> RowMatrix {
-    RowMatrix {
-        row_ptr: (0..=agg.len()).collect(),
-        col: agg.to_vec(),
-        val: vec![1.0; agg.len()],
-        cols: n_agg,
-    }
 }
 
 /// Copies every strictly-lower Galerkin entry from its transpose (the
@@ -949,9 +846,22 @@ fn jacobi_inverse_diagonal(a: &CsrMatrix) -> Result<Vec<f64>, LinalgError> {
 // Hierarchy
 // ---------------------------------------------------------------------------
 
+/// One level's flat refresh lists, frozen on its first refresh (build
+/// defers them — rebuild-only callers never pay for refresh machinery).
+#[derive(Debug, Clone)]
+struct RefreshLists {
+    /// Prolongator sources per stored `P` value.
+    p: ProlongatorRefresh,
+    /// Contraction list of `T = A·P` (pairs into `a.values`/`p.val`).
+    t: ContractionList,
+    /// Contraction list of `A_c = Pᵀ·T` (pairs into `p.val`/`t.val`),
+    /// upper triangle only.
+    coarse: ContractionList,
+}
+
 /// One fine level of the hierarchy: its operator, smoother data, the
 /// build-time aggregation/strength pattern, and the fixed-sparsity
-/// intermediates (`P`, `T = A·P`, and the flat contraction lists of both
+/// intermediates (`P`, `T = A·P`, and the flat refresh lists of both
 /// Galerkin products) that make numeric refreshes cheap.
 #[derive(Debug, Clone)]
 struct Level {
@@ -962,20 +872,10 @@ struct Level {
     strong: Vec<bool>,
     /// Aggregate id per unknown, frozen at build time.
     agg: Vec<usize>,
-    /// Whether this level's prolongator is smoothed (tentative levels
-    /// have constant unit values and skip the prolongator refresh).
-    smoothed: bool,
-    /// Flat prolongator-refresh lists; `None` until the first refresh
-    /// needs them.
-    p_refresh: Option<ProlongatorRefresh>,
+    /// Flat refresh lists; `None` until the first refresh needs them.
+    refresh: Option<RefreshLists>,
     p: RowMatrix,
     t: RowMatrix,
-    /// Flat contraction list of `T = A·P` (pairs into `a.values`/`p.val`),
-    /// frozen at build time so refresh is a branch-free FMA sweep.
-    t_list: ContractionList,
-    /// Flat contraction list of `A_c = Pᵀ·T` (pairs into `p.val`/`t.val`),
-    /// upper triangle only.
-    coarse_list: ContractionList,
     /// `(lower, upper)` flat-index pairs mirroring the Galerkin upper
     /// triangle onto the strictly-lower entries.
     coarse_mirror: Vec<(u32, u32)>,
@@ -1025,7 +925,7 @@ impl Scratch {
 ///
 /// ```
 /// use ttsv_linalg::{solve_pcg, CooBuilder, IterativeConfig};
-/// use ttsv_linalg::{MultigridConfig, MultigridHierarchy, MultigridPreconditioner};
+/// use ttsv_linalg::{MultigridHierarchy, MultigridPreconditioner};
 ///
 /// // 1-D Poisson on 96 cells, then a second operator with the same
 /// // pattern but scaled coefficients (a "next sweep point").
@@ -1042,7 +942,7 @@ impl Scratch {
 ///     coo.to_csr()
 /// };
 /// let a1 = assemble(1.0);
-/// let hierarchy = MultigridHierarchy::build(&a1, &MultigridConfig::default()).unwrap();
+/// let hierarchy = MultigridHierarchy::build(&a1).unwrap();
 /// let mut mg = MultigridPreconditioner::from_hierarchy(hierarchy);
 /// let b = vec![1.0; 96];
 /// let x1 = solve_pcg(&a1, &b, &mg, &IterativeConfig::default()).unwrap();
@@ -1062,7 +962,9 @@ pub struct MultigridHierarchy {
     coarse_a: CsrMatrix,
     /// Dense factorization of the coarsest operator.
     coarse: LuDecomposition,
-    config: MultigridConfig,
+    /// Work size at which sweeps thread ([`PARALLEL_THRESHOLD`] outside
+    /// the determinism tests).
+    parallel_threshold: usize,
     /// Resolved worker count for finest-level sweeps.
     threads: usize,
 }
@@ -1075,10 +977,21 @@ impl MultigridHierarchy {
     ///
     /// * [`LinalgError::InvalidInput`] if `a` is not square, a level has a
     ///   zero diagonal entry, or the matrix has too few strong connections
-    ///   for aggregation to coarsen it (use a point preconditioner there).
+    ///   for aggregation to coarsen it.
     /// * [`LinalgError::Singular`] if the coarsest operator cannot be
     ///   factorized.
-    pub fn build(a: &CsrMatrix, config: &MultigridConfig) -> Result<Self, LinalgError> {
+    pub fn build(a: &CsrMatrix) -> Result<Self, LinalgError> {
+        Self::build_with_threshold(a, PARALLEL_THRESHOLD)
+    }
+
+    /// [`MultigridHierarchy::build`] with the sweep-threading threshold
+    /// overridden (`1` forces threading, `usize::MAX` forces serial
+    /// sweeps), so the tests can pin threaded and serial V-cycles against
+    /// each other on small matrices.
+    pub(crate) fn build_with_threshold(
+        a: &CsrMatrix,
+        parallel_threshold: usize,
+    ) -> Result<Self, LinalgError> {
         if a.rows() != a.cols() {
             return Err(LinalgError::InvalidInput {
                 reason: format!(
@@ -1088,49 +1001,19 @@ impl MultigridHierarchy {
                 ),
             });
         }
-        assert!(
-            config.jacobi_weight > 0.0 && config.jacobi_weight <= 1.0,
-            "Jacobi weight must be in (0, 1], got {}",
-            config.jacobi_weight
-        );
-        assert!(
-            (0.0..1.0).contains(&config.strength_threshold),
-            "strength threshold must be in [0, 1), got {}",
-            config.strength_threshold
-        );
-        assert!(config.max_levels >= 1, "need at least one level");
-        assert!(
-            config.pre_smooth == config.post_smooth,
-            "pre_smooth ({}) must equal post_smooth ({}): unequal sweeps make the V-cycle \
-             nonsymmetric, which silently invalidates CG",
-            config.pre_smooth,
-            config.post_smooth
-        );
-        let threads = thread_count(a.rows(), config.parallel_threshold);
+        let threads = thread_count(a.rows(), parallel_threshold);
         let mut levels = Vec::new();
         let mut mat = a.clone();
-        while mat.rows() > config.coarsest_size && levels.len() + 1 < config.max_levels {
-            let strong = strong_connections(&mat, config.strength_threshold);
+        while mat.rows() > COARSEST_SIZE && levels.len() + 1 < MAX_LEVELS {
+            let strong = strong_connections(&mat, STRENGTH_THRESHOLD);
             let (agg, n_agg) = aggregate(&mat, &strong);
             if n_agg >= mat.rows() {
                 break; // no reduction left
             }
             let inv_diag = jacobi_inverse_diagonal(&mat)?;
-            let smoothed = levels.len() < config.smoothed_levels;
             // The scatter values already match the flat refresh bit for
             // bit, so the refresh lists are built lazily on first use.
-            let p = if smoothed {
-                build_prolongator(
-                    &mat,
-                    &strong,
-                    &agg,
-                    n_agg,
-                    config.prolongator_weight,
-                    &inv_diag,
-                )
-            } else {
-                build_tentative_prolongator(&agg, n_agg)
-            };
+            let p = build_prolongator(&mat, &strong, &agg, n_agg, &inv_diag);
             let t = build_t(&mat, &p);
             let (pt_ptr, pt_row, pt_idx) = transpose_adjacency(&p, mat.rows());
             let mut coarse_mat = build_coarse(&p, &t, &pt_ptr, &pt_row, &pt_idx);
@@ -1145,12 +1028,9 @@ impl MultigridHierarchy {
                 inv_diag,
                 strong,
                 agg,
-                smoothed,
-                p_refresh: None,
+                refresh: None,
                 p,
                 t,
-                t_list: ContractionList::default(),
-                coarse_list: ContractionList::default(),
                 coarse_mirror,
                 diag_idx,
             });
@@ -1160,23 +1040,18 @@ impl MultigridHierarchy {
         // Guard the dense coarsest factorization: if coarsening stalled far
         // above the target size (a matrix with no usable connections, e.g.
         // near-diagonal), O(n²) dense memory would be pathological — tell
-        // the caller to pick a point preconditioner instead.
-        if mat.rows() > config.coarsest_size.max(1) * 8 {
-            let cause = if levels.len() + 1 >= config.max_levels {
-                format!(
-                    "the max_levels cap ({}) stopped coarsening — raise it",
-                    config.max_levels
-                )
+        // the caller instead.
+        if mat.rows() > COARSEST_SIZE * 8 {
+            let cause = if levels.len() + 1 >= MAX_LEVELS {
+                format!("the {MAX_LEVELS}-level depth cap stopped coarsening")
             } else {
-                "the matrix has too few strong connections for multigrid — use a Jacobi/SSOR \
-                 preconditioner"
+                "the matrix has too few strong connections for aggregation to coarsen it"
                     .to_string()
             };
             return Err(LinalgError::InvalidInput {
                 reason: format!(
-                    "coarsening stopped at {} unknowns (target ≤ {}): {cause}",
-                    mat.rows(),
-                    config.coarsest_size
+                    "coarsening stopped at {} unknowns (target ≤ {COARSEST_SIZE}): {cause}",
+                    mat.rows()
                 ),
             });
         }
@@ -1187,26 +1062,26 @@ impl MultigridHierarchy {
             levels,
             coarse_a: mat,
             coarse,
-            config: *config,
+            parallel_threshold,
             threads,
         })
     }
 
     /// Numeric-only refresh: re-computes prolongator weights, Galerkin
-    /// coarse values, smoother diagonals, and the coarsest factorization for a matrix with the *same sparsity
-    /// pattern* as the one the hierarchy was built from. Aggregation,
-    /// strength classification, and every sparsity pattern are reused
-    /// unchanged — for identical input values the refreshed hierarchy is
-    /// bit-for-bit the built one.
+    /// coarse values, smoother diagonals, and the coarsest factorization
+    /// for a matrix with the *same sparsity pattern* as the one the
+    /// hierarchy was built from. Aggregation, strength classification, and
+    /// every sparsity pattern are reused unchanged — for identical input
+    /// values the refreshed hierarchy is bit-for-bit the built one.
     ///
     /// The Galerkin triple products run over flat contraction lists frozen
-    /// at build time (every output value knows the flat source-index pairs
-    /// that feed it), so the hot sweeps are branch-free multiply-add
-    /// reductions with no column hashing or dense scatter rows; once a
-    /// level's pair count passes [`MultigridConfig::parallel_threshold`]
-    /// they row-chunk across scoped threads. Both moves leave each output
-    /// entry's accumulation order untouched, so the refreshed values are
-    /// identical bit for bit to the scatter-based ones.
+    /// on the first refresh (every output value knows the flat
+    /// source-index pairs that feed it), so the hot sweeps are branch-free
+    /// multiply-add reductions with no column hashing or dense scatter
+    /// rows; once a level's pair count passes 2¹⁶ they row-chunk across
+    /// scoped threads. Both moves leave each output entry's accumulation
+    /// order untouched, so the refreshed values are identical bit for bit
+    /// to the scatter-based ones.
     ///
     /// # Errors
     ///
@@ -1223,7 +1098,7 @@ impl MultigridHierarchy {
                     .to_string(),
             });
         }
-        let threshold = self.config.parallel_threshold;
+        let threshold = self.parallel_threshold;
 
         if let Some(first) = self.levels.first_mut() {
             first.a.values_mut().copy_from_slice(a.values());
@@ -1238,48 +1113,28 @@ impl MultigridHierarchy {
                 None => &mut self.coarse_a,
             };
             refresh_inverse_diagonal(level.a.values(), &level.diag_idx, &mut level.inv_diag)?;
-            if level.smoothed && level.p_refresh.is_none() {
-                // First refresh on this level: freeze the flat source
-                // lists (build defers them — rebuild-only callers never
-                // pay for refresh machinery).
-                level.p_refresh = Some(ProlongatorRefresh::build(
-                    &level.a,
-                    &level.strong,
-                    &level.agg,
-                    &level.p,
-                ));
-            }
-            if level.t_list.ptr.is_empty() {
-                level.t_list = build_t_contraction(&level.a, &level.p, &level.t, !level.smoothed);
+            let lists = &*level.refresh.get_or_insert_with(|| {
                 let (pt_ptr, pt_row, pt_idx) = transpose_adjacency(&level.p, level.a.rows());
-                level.coarse_list = build_coarse_contraction(
-                    &level.t,
-                    &pt_ptr,
-                    &pt_row,
-                    &pt_idx,
-                    next_a,
-                    !level.smoothed,
-                );
-            }
-            if let Some(p_refresh) = &level.p_refresh {
-                p_refresh.refresh(
-                    level.a.values(),
-                    &level.inv_diag,
-                    self.config.prolongator_weight,
-                    &mut level.p,
-                );
-            }
-            level.t_list.contract(
+                RefreshLists {
+                    p: ProlongatorRefresh::build(&level.a, &level.strong, &level.agg, &level.p),
+                    t: build_t_contraction(&level.a, &level.p, &level.t),
+                    coarse: build_coarse_contraction(&level.t, &pt_ptr, &pt_row, &pt_idx, next_a),
+                }
+            });
+            lists
+                .p
+                .refresh(level.a.values(), &level.inv_diag, &mut level.p);
+            lists.t.contract(
                 level.a.values(),
                 &level.p.val,
                 &mut level.t.val,
-                thread_count(level.t_list.pairs(), threshold),
+                thread_count(lists.t.pairs(), threshold),
             );
-            level.coarse_list.contract(
+            lists.coarse.contract(
                 &level.p.val,
                 &level.t.val,
                 next_a.values_mut(),
-                thread_count(level.coarse_list.pairs(), threshold),
+                thread_count(lists.coarse.pairs(), threshold),
             );
             apply_mirror(&level.coarse_mirror, next_a.values_mut());
         }
@@ -1297,12 +1152,6 @@ impl MultigridHierarchy {
             Some(level) => level.a.same_pattern(a),
             None => self.coarse_a.same_pattern(a),
         }
-    }
-
-    /// The configuration the hierarchy was built with.
-    #[must_use]
-    pub fn config(&self) -> &MultigridConfig {
-        &self.config
     }
 
     /// Number of levels in the hierarchy (1 = the matrix was small enough
@@ -1327,64 +1176,31 @@ impl MultigridHierarchy {
         }
     }
 
-    /// One damped-Jacobi sweep `z ← z + ω·D⁻¹·(rhs − A·z)`, with the first
-    /// sweep from a zero guess collapsing to `z = ω·D⁻¹·rhs`.
-    #[allow(clippy::too_many_arguments)]
-    fn jacobi_smooth(
-        level: &Level,
-        weight: f64,
-        rhs: &[f64],
-        z: &mut [f64],
-        res: &mut [f64],
-        sweeps: usize,
-        zero_init: bool,
-        threads: usize,
-    ) {
-        let inv_diag = &level.inv_diag;
-        let mut first = zero_init;
-        for _ in 0..sweeps {
-            if first {
-                par_rows(z, threads, |start, chunk| {
-                    for (k, zi) in chunk.iter_mut().enumerate() {
-                        let i = start + k;
-                        *zi = weight * inv_diag[i] * rhs[i];
-                    }
-                });
-                first = false;
-            } else {
-                matvec_threaded(&level.a, z, res, threads);
-                let res = &*res;
-                par_rows(z, threads, |start, chunk| {
-                    for (k, zi) in chunk.iter_mut().enumerate() {
-                        let i = start + k;
-                        *zi += weight * inv_diag[i] * (rhs[i] - res[i]);
-                    }
-                });
-            }
-        }
-        if zero_init && sweeps == 0 {
-            z.fill(0.0);
-        }
-    }
-
-    /// Relaxation for one level: `pre_smooth` sweeps from a zero guess
-    /// on the way down, `post_smooth` sweeps on the way up.
+    /// One damped-Jacobi sweep on level `l`, `z ← z + ω·D⁻¹·(rhs − A·z)`.
+    /// The pre-smoothing sweep (`zero_init`) starts from a zero guess and
+    /// collapses to `z = ω·D⁻¹·rhs`; the post-smoothing sweep continues
+    /// from the prolonged coarse correction.
     fn smooth_level(&self, l: usize, rhs: &[f64], z: &mut [f64], res: &mut [f64], zero_init: bool) {
+        let level = &self.levels[l];
         let threads = if l == 0 { self.threads } else { 1 };
-        Self::jacobi_smooth(
-            &self.levels[l],
-            self.config.jacobi_weight,
-            rhs,
-            z,
-            res,
-            if zero_init {
-                self.config.pre_smooth
-            } else {
-                self.config.post_smooth
-            },
-            zero_init,
-            threads,
-        );
+        let inv_diag = &level.inv_diag;
+        if zero_init {
+            par_rows(z, threads, |start, chunk| {
+                for (k, zi) in chunk.iter_mut().enumerate() {
+                    let i = start + k;
+                    *zi = JACOBI_WEIGHT * inv_diag[i] * rhs[i];
+                }
+            });
+        } else {
+            matvec_threaded(&level.a, z, res, threads);
+            let res = &*res;
+            par_rows(z, threads, |start, chunk| {
+                for (k, zi) in chunk.iter_mut().enumerate() {
+                    let i = start + k;
+                    *zi += JACOBI_WEIGHT * inv_diag[i] * (rhs[i] - res[i]);
+                }
+            });
+        }
     }
 
     /// One V-cycle applied to the residual `r`, writing the correction
@@ -1457,7 +1273,7 @@ impl MultigridHierarchy {
 ///
 /// ```
 /// use ttsv_linalg::{solve_pcg, CooBuilder, IterativeConfig};
-/// use ttsv_linalg::{MultigridConfig, MultigridPreconditioner};
+/// use ttsv_linalg::MultigridPreconditioner;
 ///
 /// // 1-D Poisson on 64 cells.
 /// let n = 64;
@@ -1470,7 +1286,7 @@ impl MultigridHierarchy {
 ///     }
 /// }
 /// let a = coo.to_csr();
-/// let mg = MultigridPreconditioner::new(&a, &MultigridConfig::default()).unwrap();
+/// let mg = MultigridPreconditioner::new(&a).unwrap();
 /// let report = solve_pcg(&a, &vec![1.0; n], &mg, &IterativeConfig::default()).unwrap();
 /// assert!(a.residual_norm(&report.solution, &vec![1.0; n]).unwrap() < 1e-7);
 /// ```
@@ -1496,8 +1312,8 @@ impl MultigridPreconditioner {
     /// # Errors
     ///
     /// See [`MultigridHierarchy::build`].
-    pub fn new(a: &CsrMatrix, config: &MultigridConfig) -> Result<Self, LinalgError> {
-        Ok(Self::from_hierarchy(MultigridHierarchy::build(a, config)?))
+    pub fn new(a: &CsrMatrix) -> Result<Self, LinalgError> {
+        Ok(Self::from_hierarchy(MultigridHierarchy::build(a)?))
     }
 
     /// Wraps an existing hierarchy (typically taken from a cache).
@@ -1559,6 +1375,16 @@ mod tests {
     use crate::iterative::{solve_cg, solve_pcg, IterativeConfig};
     use crate::sparse::CooBuilder;
     use crate::vector::{dot, norm2, sub};
+    use proptest::prelude::*;
+
+    include!("../tests/support/random_box.rs");
+
+    /// A preconditioner whose sweeps thread past `threshold` work items.
+    fn with_threshold(a: &CsrMatrix, threshold: usize) -> MultigridPreconditioner {
+        MultigridPreconditioner::from_hierarchy(
+            MultigridHierarchy::build_with_threshold(a, threshold).unwrap(),
+        )
+    }
 
     /// 2-D Poisson on an `nx × ny` grid with Dirichlet coupling on one
     /// edge and a vertical-coupling anisotropy `ay`.
@@ -1601,7 +1427,7 @@ mod tests {
     #[test]
     fn hierarchy_coarsens() {
         let a = poisson2d(16, 16, 1.0);
-        let mg = MultigridPreconditioner::new(&a, &MultigridConfig::default()).unwrap();
+        let mg = MultigridPreconditioner::new(&a).unwrap();
         assert!(mg.level_count() >= 2, "16×16 should build a real hierarchy");
         assert!(mg.coarsest_unknowns() <= 48);
     }
@@ -1609,7 +1435,7 @@ mod tests {
     #[test]
     fn tiny_problem_degenerates_to_direct_solve() {
         let a = poisson2d(3, 3, 1.0);
-        let mg = MultigridPreconditioner::new(&a, &MultigridConfig::default()).unwrap();
+        let mg = MultigridPreconditioner::new(&a).unwrap();
         assert_eq!(mg.level_count(), 1);
         // An exact preconditioner makes PCG converge immediately.
         let b = vec![1.0; 9];
@@ -1623,7 +1449,7 @@ mod tests {
         let b: Vec<f64> = (0..a.rows()).map(|i| ((i % 7) as f64) - 3.0).collect();
         let cfg = IterativeConfig::new(10_000, 1e-11);
         let plain = solve_cg(&a, &b, &cfg).unwrap();
-        let mg = MultigridPreconditioner::new(&a, &MultigridConfig::default()).unwrap();
+        let mg = MultigridPreconditioner::new(&a).unwrap();
         let pre = solve_pcg(&a, &b, &mg, &cfg).unwrap();
         for (x, y) in plain.solution.iter().zip(&pre.solution) {
             assert!((x - y).abs() < 1e-7, "{x} vs {y}");
@@ -1640,56 +1466,39 @@ mod tests {
     fn anisotropy_is_handled() {
         // 100:1 anisotropy — the regime where point-smoothed full
         // coarsening stalls; strength-based aggregation must keep the
-        // iteration count modest. The smoothed-aggregation preset carries
-        // the tight bound; the plain-aggregation default trades
-        // iterations for cheap setup/refresh but must stay within ~2× of
-        // it.
+        // iteration count modest.
         let a = poisson2d(24, 24, 100.0);
         let b = vec![1.0; a.rows()];
         let cfg = IterativeConfig::new(10_000, 1e-11);
-        let sa =
-            MultigridPreconditioner::new(&a, &MultigridConfig::smoothed_aggregation()).unwrap();
+        let sa = MultigridPreconditioner::new(&a).unwrap();
         let report = solve_pcg(&a, &b, &sa, &cfg).unwrap();
         assert!(
             report.iterations <= 30,
             "anisotropic SA-MG-PCG took {} iterations",
             report.iterations
         );
-        let plain = MultigridPreconditioner::new(&a, &MultigridConfig::default()).unwrap();
-        let report = solve_pcg(&a, &b, &plain, &cfg).unwrap();
-        assert!(
-            report.iterations <= 55,
-            "anisotropic plain-aggregation MG-PCG took {} iterations",
-            report.iterations
-        );
     }
 
     #[test]
     fn vcycle_is_symmetric() {
-        // ⟨M⁻¹u, v⟩ = ⟨u, M⁻¹v⟩ is required for CG — for the plain- and
-        // smoothed-aggregation presets alike.
-        for config in [
-            MultigridConfig::default(),
-            MultigridConfig::smoothed_aggregation(),
-        ] {
-            let a = poisson2d(10, 10, 5.0);
-            let mg = MultigridPreconditioner::new(&a, &config).unwrap();
-            let n = a.rows();
-            let u: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
-            let v: Vec<f64> = (0..n).map(|i| (i as f64 * 0.91).cos()).collect();
-            let mut mu = vec![0.0; n];
-            let mut mv = vec![0.0; n];
-            mg.apply(&u, &mut mu);
-            mg.apply(&v, &mut mv);
-            let lhs = dot(&mu, &v);
-            let rhs = dot(&u, &mv);
-            assert!(
-                (lhs - rhs).abs() < 1e-9 * lhs.abs().max(1.0),
-                "asymmetric V-cycle ({config:?}): {lhs} vs {rhs}"
-            );
-            // And positive: ⟨M⁻¹u, u⟩ > 0.
-            assert!(dot(&mu, &u) > 0.0);
-        }
+        // ⟨M⁻¹u, v⟩ = ⟨u, M⁻¹v⟩ is required for CG.
+        let a = poisson2d(10, 10, 5.0);
+        let mg = MultigridPreconditioner::new(&a).unwrap();
+        let n = a.rows();
+        let u: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+        let v: Vec<f64> = (0..n).map(|i| (i as f64 * 0.91).cos()).collect();
+        let mut mu = vec![0.0; n];
+        let mut mv = vec![0.0; n];
+        mg.apply(&u, &mut mu);
+        mg.apply(&v, &mut mv);
+        let lhs = dot(&mu, &v);
+        let rhs = dot(&u, &mv);
+        assert!(
+            (lhs - rhs).abs() < 1e-9 * lhs.abs().max(1.0),
+            "asymmetric V-cycle: {lhs} vs {rhs}"
+        );
+        // And positive: ⟨M⁻¹u, u⟩ > 0.
+        assert!(dot(&mu, &u) > 0.0);
     }
 
     #[test]
@@ -1706,62 +1515,47 @@ mod tests {
             let e = sub(&x_star, x);
             dot(&e, &a.matvec(&e).unwrap()).sqrt()
         };
-        // Both presets must contract the energy norm every cycle; the
-        // smoothed-aggregation hierarchy must also make 12 cycles a real
-        // solve (the plain-aggregation default converges more slowly by
-        // design and only carries the monotonicity requirement).
-        for (config, residual_bound) in [
-            (MultigridConfig::smoothed_aggregation(), Some(1e-3)),
-            (MultigridConfig::default(), None),
-        ] {
-            let mg = MultigridPreconditioner::new(&a, &config).unwrap();
-            let mut x = vec![0.0; n];
-            let mut prev = energy(&x);
-            for cycle in 0..12 {
-                let r = sub(&b, &a.matvec(&x).unwrap());
-                let mut dz = vec![0.0; n];
-                mg.apply(&r, &mut dz);
-                for i in 0..n {
-                    x[i] += dz[i];
-                }
-                let now = energy(&x);
-                assert!(
-                    now < prev,
-                    "cycle {cycle}: energy error grew from {prev:.3e} to {now:.3e}"
-                );
-                prev = now;
+        // Every cycle must contract the energy norm, and 12 cycles must
+        // make a real solve.
+        let mg = MultigridPreconditioner::new(&a).unwrap();
+        let mut x = vec![0.0; n];
+        let mut prev = energy(&x);
+        for cycle in 0..12 {
+            let r = sub(&b, &a.matvec(&x).unwrap());
+            let mut dz = vec![0.0; n];
+            mg.apply(&r, &mut dz);
+            for i in 0..n {
+                x[i] += dz[i];
             }
-            if let Some(bound) = residual_bound {
-                assert!(
-                    norm2(&sub(&b, &a.matvec(&x).unwrap())) < bound * norm2(&b),
-                    "12 SA cycles should reduce ‖r‖ a lot"
-                );
-            }
+            let now = energy(&x);
+            assert!(
+                now < prev,
+                "cycle {cycle}: energy error grew from {prev:.3e} to {now:.3e}"
+            );
+            prev = now;
         }
+        assert!(
+            norm2(&sub(&b, &a.matvec(&x).unwrap())) < 1e-3 * norm2(&b),
+            "12 SA cycles should reduce ‖r‖ a lot"
+        );
     }
 
     #[test]
     fn refresh_with_identical_values_reproduces_the_build_exactly() {
         // Refresh re-runs the numeric kernels in the same accumulation
         // order as the build, so feeding back the very same matrix must
-        // leave the V-cycle output bit-for-bit unchanged — on the
-        // plain-aggregation default and classic smoothed aggregation alike.
-        for config in [
-            MultigridConfig::default(),
-            MultigridConfig::smoothed_aggregation(),
-        ] {
-            let a = poisson2d(14, 18, 8.0);
-            let n = a.rows();
-            let fresh = MultigridPreconditioner::new(&a, &config).unwrap();
-            let mut refreshed = MultigridPreconditioner::new(&a, &config).unwrap();
-            refreshed.refresh(&a).unwrap();
-            let r: Vec<f64> = (0..n).map(|i| ((i * 29) % 13) as f64 - 6.0).collect();
-            let mut z1 = vec![0.0; n];
-            let mut z2 = vec![0.0; n];
-            fresh.apply(&r, &mut z1);
-            refreshed.apply(&r, &mut z2);
-            assert_eq!(z1, z2, "identical-value refresh must be exact ({config:?})");
-        }
+        // leave the V-cycle output bit-for-bit unchanged.
+        let a = poisson2d(14, 18, 8.0);
+        let n = a.rows();
+        let fresh = MultigridPreconditioner::new(&a).unwrap();
+        let mut refreshed = MultigridPreconditioner::new(&a).unwrap();
+        refreshed.refresh(&a).unwrap();
+        let r: Vec<f64> = (0..n).map(|i| ((i * 29) % 13) as f64 - 6.0).collect();
+        let mut z1 = vec![0.0; n];
+        let mut z2 = vec![0.0; n];
+        fresh.apply(&r, &mut z1);
+        refreshed.apply(&r, &mut z2);
+        assert_eq!(z1, z2, "identical-value refresh must be exact");
     }
 
     #[test]
@@ -1775,10 +1569,10 @@ mod tests {
         let cfg = IterativeConfig::new(10_000, 1e-11);
         let b = vec![1.0; a1.rows()];
 
-        let mut mg = MultigridPreconditioner::new(&a1, &MultigridConfig::default()).unwrap();
+        let mut mg = MultigridPreconditioner::new(&a1).unwrap();
         mg.refresh(&a2).unwrap();
         let refreshed = solve_pcg(&a2, &b, &mg, &cfg).unwrap();
-        let fresh_pre = MultigridPreconditioner::new(&a2, &MultigridConfig::default()).unwrap();
+        let fresh_pre = MultigridPreconditioner::new(&a2).unwrap();
         let fresh = solve_pcg(&a2, &b, &fresh_pre, &cfg).unwrap();
 
         let scale = fresh.solution.iter().fold(1e-30f64, |m, v| m.max(v.abs()));
@@ -1799,7 +1593,7 @@ mod tests {
     fn refresh_rejects_pattern_mismatch() {
         let a = poisson2d(12, 12, 1.0);
         let other = poisson2d(12, 13, 1.0);
-        let mut mg = MultigridPreconditioner::new(&a, &MultigridConfig::default()).unwrap();
+        let mut mg = MultigridPreconditioner::new(&a).unwrap();
         assert!(!mg.hierarchy().pattern_matches(&other));
         let err = mg.refresh(&other).unwrap_err();
         assert!(matches!(err, LinalgError::InvalidInput { .. }));
@@ -1807,33 +1601,20 @@ mod tests {
 
     #[test]
     fn threaded_and_serial_vcycles_agree() {
-        for base in [
-            MultigridConfig::default(),
-            MultigridConfig::smoothed_aggregation(),
-        ] {
-            let serial_cfg = MultigridConfig {
-                parallel_threshold: usize::MAX,
-                ..base
-            };
-            let threaded_cfg = MultigridConfig {
-                parallel_threshold: 1,
-                ..base
-            };
-            let a = poisson2d(20, 30, 25.0);
-            let n = a.rows();
-            let serial = MultigridPreconditioner::new(&a, &serial_cfg).unwrap();
-            let threaded = MultigridPreconditioner::new(&a, &threaded_cfg).unwrap();
-            let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.61).sin() * 3.0).collect();
-            let mut z_serial = vec![0.0; n];
-            let mut z_threaded = vec![0.0; n];
-            serial.apply(&r, &mut z_serial);
-            threaded.apply(&r, &mut z_threaded);
-            for (s, t) in z_serial.iter().zip(&z_threaded) {
-                assert!(
-                    (s - t).abs() <= 1e-12 * s.abs().max(1.0),
-                    "threaded V-cycle diverged from serial: {s} vs {t} ({base:?})"
-                );
-            }
+        let a = poisson2d(20, 30, 25.0);
+        let n = a.rows();
+        let serial = with_threshold(&a, usize::MAX);
+        let threaded = with_threshold(&a, 1);
+        let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.61).sin() * 3.0).collect();
+        let mut z_serial = vec![0.0; n];
+        let mut z_threaded = vec![0.0; n];
+        serial.apply(&r, &mut z_serial);
+        threaded.apply(&r, &mut z_threaded);
+        for (s, t) in z_serial.iter().zip(&z_threaded) {
+            assert!(
+                (s - t).abs() <= 1e-12 * s.abs().max(1.0),
+                "threaded V-cycle diverged from serial: {s} vs {t}"
+            );
         }
     }
 
@@ -1847,8 +1628,7 @@ mod tests {
         for i in 0..n {
             coo.add(i, i, 2.0 + (i % 5) as f64);
         }
-        let err =
-            MultigridPreconditioner::new(&coo.to_csr(), &MultigridConfig::default()).unwrap_err();
+        let err = MultigridPreconditioner::new(&coo.to_csr()).unwrap_err();
         assert!(matches!(err, LinalgError::InvalidInput { .. }), "{err}");
     }
 
@@ -1856,8 +1636,71 @@ mod tests {
     fn non_square_rejected() {
         let mut coo = CooBuilder::new(3, 2);
         coo.add(0, 0, 1.0);
-        let err =
-            MultigridPreconditioner::new(&coo.to_csr(), &MultigridConfig::default()).unwrap_err();
+        let err = MultigridPreconditioner::new(&coo.to_csr()).unwrap_err();
         assert!(matches!(err, LinalgError::InvalidInput { .. }));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn threaded_and_serial_vcycles_agree_on_random_boxes(
+            (dims, k, r) in box_system(),
+        ) {
+            // Row-chunked threading must not change the V-cycle output
+            // beyond reassociation-free floating point (the chunk
+            // arithmetic is identical, so the agreement is in fact exact;
+            // assert 1e-12).
+            let a = random_box_matrix(dims, &k);
+            let n = a.rows();
+            let serial = with_threshold(&a, usize::MAX);
+            let threaded = with_threshold(&a, 1);
+            let mut z_serial = vec![0.0; n];
+            let mut z_threaded = vec![0.0; n];
+            serial.apply(&r, &mut z_serial);
+            threaded.apply(&r, &mut z_threaded);
+            for i in 0..n {
+                prop_assert!(
+                    (z_serial[i] - z_threaded[i]).abs() <= 1e-12 * z_serial[i].abs().max(1.0),
+                    "threaded V-cycle diverged at {i}: {} vs {}",
+                    z_serial[i],
+                    z_threaded[i]
+                );
+            }
+        }
+
+        #[test]
+        fn refresh_is_bitwise_identical_to_a_fresh_build_serial_and_threaded(
+            (dims, k, r) in box_system(),
+            scale in 0.2..5.0f64,
+        ) {
+            // The forced serial and threaded legs of the integration
+            // suite's refresh-vs-build property: under a uniform
+            // conductivity scaling the build-time pattern decisions are
+            // unchanged, so a refreshed hierarchy must reproduce a fresh
+            // build bit for bit on either sweep path.
+            let a1 = random_box_matrix(dims, &k);
+            let k2: Vec<f64> = k.iter().map(|&v| v * scale).collect();
+            let a2 = random_box_matrix(dims, &k2);
+            prop_assert!(a1.same_pattern(&a2));
+            for threshold in [usize::MAX, 1] {
+                let fresh = with_threshold(&a2, threshold);
+                let mut refreshed = with_threshold(&a1, threshold);
+                refreshed.refresh(&a2).unwrap();
+                let n = a2.rows();
+                let mut z_fresh = vec![0.0; n];
+                let mut z_refreshed = vec![0.0; n];
+                fresh.apply(&r, &mut z_fresh);
+                refreshed.apply(&r, &mut z_refreshed);
+                for i in 0..n {
+                    prop_assert!(
+                        z_fresh[i].to_bits() == z_refreshed[i].to_bits(),
+                        "refresh diverged from fresh build at {i} (threshold {threshold}): {} vs {}",
+                        z_fresh[i],
+                        z_refreshed[i]
+                    );
+                }
+            }
+        }
     }
 }

@@ -3,68 +3,10 @@
 use proptest::prelude::*;
 use ttsv_linalg::{
     solve_cg, solve_pcg, BandedMatrix, BlockTridiagonal, CooBuilder, CsrMatrix, DenseMatrix,
-    IterativeConfig, MultigridConfig, MultigridPreconditioner, SsorPreconditioner, Tridiagonal,
+    IterativeConfig, MultigridPreconditioner, Tridiagonal,
 };
 
-/// A random finite-volume-style SPD system on an `nx × ny × nz` box:
-/// 7-point stencil with harmonic-mean-like positive face conductances and
-/// a Dirichlet anchor below the first layer (mirrors the Cartesian heat
-/// solver's structure, including conductivity jumps).
-fn random_box_matrix(dims: (usize, usize, usize), k: &[f64]) -> CsrMatrix {
-    let (nx, ny, nz) = dims;
-    let n = nx * ny * nz;
-    let idx = |x: usize, y: usize, z: usize| x + y * nx + z * nx * ny;
-    let mut coo = CooBuilder::new(n, n);
-    let face = |a: f64, b: f64| 2.0 * a * b / (a + b);
-    for z in 0..nz {
-        for y in 0..ny {
-            for x in 0..nx {
-                let i = idx(x, y, z);
-                if x + 1 < nx {
-                    let j = idx(x + 1, y, z);
-                    let g = face(k[i], k[j]);
-                    coo.add(i, i, g);
-                    coo.add(j, j, g);
-                    coo.add(i, j, -g);
-                    coo.add(j, i, -g);
-                }
-                if y + 1 < ny {
-                    let j = idx(x, y + 1, z);
-                    let g = face(k[i], k[j]);
-                    coo.add(i, i, g);
-                    coo.add(j, j, g);
-                    coo.add(i, j, -g);
-                    coo.add(j, i, -g);
-                }
-                if z + 1 < nz {
-                    let j = idx(x, y, z + 1);
-                    let g = face(k[i], k[j]);
-                    coo.add(i, i, g);
-                    coo.add(j, j, g);
-                    coo.add(i, j, -g);
-                    coo.add(j, i, -g);
-                }
-                if z == 0 {
-                    coo.add(i, i, 2.0 * k[i]); // sink anchor
-                }
-            }
-        }
-    }
-    coo.to_csr()
-}
-
-/// Strategy: box dimensions plus per-cell conductivities spanning a
-/// 100 : 1 jump range (the solvers must agree across material contrast).
-fn box_system() -> impl Strategy<Value = ((usize, usize, usize), Vec<f64>, Vec<f64>)> {
-    (2usize..5, 2usize..5, 2usize..6).prop_flat_map(|(nx, ny, nz)| {
-        let n = nx * ny * nz;
-        (
-            Just((nx, ny, nz)),
-            prop::collection::vec(0.1..10.0f64, n),
-            prop::collection::vec(-5.0..5.0f64, n),
-        )
-    })
-}
+include!("support/random_box.rs");
 
 /// Strategy: a Model-B-shaped ladder — per-segment (bulk, fill, lateral)
 /// conductances plus heat inputs and a substrate conductance.
@@ -262,20 +204,16 @@ proptest! {
     }
 
     #[test]
-    fn mg_pcg_and_ssor_pcg_and_plain_cg_agree_on_random_boxes(
+    fn mg_pcg_and_plain_cg_agree_on_random_boxes(
         (dims, k, b) in box_system(),
     ) {
         let a = random_box_matrix(dims, &k);
         let cfg = IterativeConfig::new(50_000, 1e-11);
         let plain = solve_cg(&a, &b, &cfg).unwrap().solution;
-        let ssor = solve_pcg(&a, &b, &SsorPreconditioner::new(&a, 1.5), &cfg)
-            .unwrap()
-            .solution;
-        let mg = MultigridPreconditioner::new(&a, &MultigridConfig::default()).unwrap();
+        let mg = MultigridPreconditioner::new(&a).unwrap();
         let mg_x = solve_pcg(&a, &b, &mg, &cfg).unwrap().solution;
         let scale = plain.iter().fold(1e-30f64, |m, v| m.max(v.abs()));
         for i in 0..plain.len() {
-            prop_assert!((plain[i] - ssor[i]).abs() <= 1e-6 * scale, "ssor differs at {i}");
             prop_assert!((plain[i] - mg_x[i]).abs() <= 1e-6 * scale, "multigrid differs at {i}");
         }
     }
@@ -299,9 +237,9 @@ proptest! {
         prop_assert!(a1.same_pattern(&a2), "perturbation must keep the pattern");
 
         let cfg = IterativeConfig::new(50_000, 1e-11);
-        let mut refreshed = MultigridPreconditioner::new(&a1, &MultigridConfig::default()).unwrap();
+        let mut refreshed = MultigridPreconditioner::new(&a1).unwrap();
         refreshed.refresh(&a2).unwrap();
-        let fresh = MultigridPreconditioner::new(&a2, &MultigridConfig::default()).unwrap();
+        let fresh = MultigridPreconditioner::new(&a2).unwrap();
 
         let x_refreshed = solve_pcg(&a2, &b, &refreshed, &cfg).unwrap().solution;
         let x_fresh = solve_pcg(&a2, &b, &fresh, &cfg).unwrap().solution;
@@ -327,75 +265,27 @@ proptest! {
         // pattern decisions (strength classification, aggregation) are
         // unchanged, so refreshing a hierarchy onto the scaled matrix must
         // reproduce a freshly built one bit for bit — V-cycle outputs
-        // compared via `to_bits`, on both the serial and the threaded
-        // sweep path.
+        // compared via `to_bits`. (The forced serial and threaded sweep
+        // legs live in the multigrid unit tests, which can override the
+        // threading threshold.)
         let a1 = random_box_matrix(dims, &k);
         let k2: Vec<f64> = k.iter().map(|&v| v * scale).collect();
         let a2 = random_box_matrix(dims, &k2);
         prop_assert!(a1.same_pattern(&a2));
-        // Cover every numeric-refresh path: the plain-aggregation default
-        // (single-stream sums) and classic smoothed aggregation (pair lists
-        // + prolongator refresh) — each serial and threaded.
-        let presets = [
-            MultigridConfig::default(),
-            MultigridConfig::smoothed_aggregation(),
-        ];
-        for (preset, threshold) in presets
-            .iter()
-            .flat_map(|p| [usize::MAX, 1].map(|t| (*p, t)))
-        {
-            let cfg = MultigridConfig {
-                parallel_threshold: threshold,
-                ..preset
-            };
-            let fresh = MultigridPreconditioner::new(&a2, &cfg).unwrap();
-            let mut refreshed = MultigridPreconditioner::new(&a1, &cfg).unwrap();
-            refreshed.refresh(&a2).unwrap();
-            let n = a2.rows();
-            let mut z_fresh = vec![0.0; n];
-            let mut z_refreshed = vec![0.0; n];
-            ttsv_linalg::Preconditioner::apply(&fresh, &r, &mut z_fresh);
-            ttsv_linalg::Preconditioner::apply(&refreshed, &r, &mut z_refreshed);
-            for i in 0..n {
-                prop_assert!(
-                    z_fresh[i].to_bits() == z_refreshed[i].to_bits(),
-                    "refresh diverged from fresh build at {i} ({cfg:?}): {} vs {}",
-                    z_fresh[i],
-                    z_refreshed[i]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn threaded_and_serial_vcycles_agree_on_random_boxes(
-        (dims, k, r) in box_system(),
-    ) {
-        // Row-chunked threading must not change the V-cycle output beyond
-        // reassociation-free floating point (the chunk arithmetic is
-        // identical, so the agreement is in fact exact; assert 1e-12).
-        let a = random_box_matrix(dims, &k);
-        let n = a.rows();
-        let serial_cfg = MultigridConfig {
-            parallel_threshold: usize::MAX,
-            ..MultigridConfig::default()
-        };
-        let threaded_cfg = MultigridConfig {
-            parallel_threshold: 1,
-            ..MultigridConfig::default()
-        };
-        let serial = MultigridPreconditioner::new(&a, &serial_cfg).unwrap();
-        let threaded = MultigridPreconditioner::new(&a, &threaded_cfg).unwrap();
-        let mut z_serial = vec![0.0; n];
-        let mut z_threaded = vec![0.0; n];
-        ttsv_linalg::Preconditioner::apply(&serial, &r, &mut z_serial);
-        ttsv_linalg::Preconditioner::apply(&threaded, &r, &mut z_threaded);
+        let fresh = MultigridPreconditioner::new(&a2).unwrap();
+        let mut refreshed = MultigridPreconditioner::new(&a1).unwrap();
+        refreshed.refresh(&a2).unwrap();
+        let n = a2.rows();
+        let mut z_fresh = vec![0.0; n];
+        let mut z_refreshed = vec![0.0; n];
+        ttsv_linalg::Preconditioner::apply(&fresh, &r, &mut z_fresh);
+        ttsv_linalg::Preconditioner::apply(&refreshed, &r, &mut z_refreshed);
         for i in 0..n {
             prop_assert!(
-                (z_serial[i] - z_threaded[i]).abs() <= 1e-12 * z_serial[i].abs().max(1.0),
-                "threaded V-cycle diverged at {i}: {} vs {}",
-                z_serial[i],
-                z_threaded[i]
+                z_fresh[i].to_bits() == z_refreshed[i].to_bits(),
+                "refresh diverged from fresh build at {i}: {} vs {}",
+                z_fresh[i],
+                z_refreshed[i]
             );
         }
     }
@@ -408,7 +298,7 @@ proptest! {
         // norm ‖e‖_A every cycle until rounding-level convergence.
         let a = random_box_matrix(dims, &k);
         let b = a.matvec(&x_star).unwrap();
-        let mg = MultigridPreconditioner::new(&a, &MultigridConfig::default()).unwrap();
+        let mg = MultigridPreconditioner::new(&a).unwrap();
         let n = b.len();
         let energy = |x: &[f64]| {
             let e: Vec<f64> = x_star.iter().zip(x).map(|(s, v)| s - v).collect();

@@ -4,9 +4,10 @@
 //! sources are current sources, temperatures are node voltages, and thermal
 //! resistances are resistors. This crate provides the generic substrate —
 //! build a network of nodes, resistors, heat sources and temperature pins,
-//! then solve the Kirchhoff current-law system for every node temperature —
-//! on top of which `ttsv-core` expresses the paper's Model A (compact) and
-//! Model B (distributed π-segment) networks.
+//! then solve the Kirchhoff current-law system for every node temperature
+//! by dense LU — on top of which `ttsv-core` expresses the paper's compact
+//! Model A network. (Model B's π-segment ladder is banded, so `ttsv-core`
+//! assembles and solves it directly with a block-tridiagonal kernel.)
 //!
 //! # Examples
 //!
@@ -37,5 +38,5 @@ mod network;
 mod solution;
 
 pub use error::NetworkError;
-pub use network::{NodeId, SolverChoice, Terminal, ThermalNetwork};
+pub use network::{NodeId, Terminal, ThermalNetwork};
 pub use solution::{BranchFlow, NetworkSolution};

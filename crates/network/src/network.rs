@@ -1,6 +1,6 @@
 //! Network construction and the KCL solve.
 
-use ttsv_linalg::{solve_pcg, CooBuilder, DenseMatrix, IterativeConfig, SsorPreconditioner};
+use ttsv_linalg::{CooBuilder, DenseMatrix};
 use ttsv_units::{Power, TemperatureDelta, ThermalResistance};
 
 use crate::error::NetworkError;
@@ -24,19 +24,6 @@ impl From<NodeId> for Terminal {
     fn from(id: NodeId) -> Self {
         Terminal::Node(id)
     }
-}
-
-/// Which linear solver backs [`ThermalNetwork::solve_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverChoice {
-    /// Dense LU — exact, `O(n³)`; right for Model A-sized networks.
-    Dense,
-    /// SSOR-preconditioned conjugate gradients on the CSR matrix — right for
-    /// large distributed ladders.
-    ConjugateGradient,
-    /// Dense below 256 unknowns, CG above.
-    #[default]
-    Auto,
 }
 
 #[derive(Debug, Clone)]
@@ -167,16 +154,9 @@ impl ThermalNetwork {
         self.sources.iter().map(|(_, p)| *p).sum()
     }
 
-    /// Solves the network with the [default](SolverChoice::Auto) solver.
-    ///
-    /// # Errors
-    ///
-    /// See [`ThermalNetwork::solve_with`].
-    pub fn solve(&self) -> Result<NetworkSolution, NetworkError> {
-        self.solve_with(SolverChoice::Auto)
-    }
-
-    /// Solves the KCL system `G·T = q` for all node temperatures.
+    /// Solves the KCL system `G·T = q` for all node temperatures by dense
+    /// LU — exact, `O(n³)`, and sized for the compact networks this crate
+    /// serves (Model A has `2·planes + 1` nodes).
     ///
     /// # Errors
     ///
@@ -184,9 +164,9 @@ impl ThermalNetwork {
     ///   temperature reference, so the system is singular by construction.
     /// * [`NetworkError::FloatingNode`] — some node has no path to the
     ///   reference.
-    /// * [`NetworkError::Solver`] — the linear solver failed (e.g. iteration
-    ///   budget exhausted).
-    pub fn solve_with(&self, choice: SolverChoice) -> Result<NetworkSolution, NetworkError> {
+    /// * [`NetworkError::Solver`] — the LU factorization hit a singular
+    ///   pivot.
+    pub fn solve(&self) -> Result<NetworkSolution, NetworkError> {
         let n = self.node_names.len();
         let has_ground_tie = self
             .resistors
@@ -264,31 +244,14 @@ impl ThermalNetwork {
         let temps_unknown: Vec<f64> = if m == 0 {
             Vec::new()
         } else {
-            let use_dense = match choice {
-                SolverChoice::Dense => true,
-                SolverChoice::ConjugateGradient => false,
-                SolverChoice::Auto => m <= 256,
-            };
-            if use_dense {
-                let csr = coo.to_csr();
-                let mut dense = DenseMatrix::zeros(m, m);
-                for i in 0..m {
-                    for (j, v) in csr.row_entries(i) {
-                        dense[(i, j)] = v;
-                    }
+            let csr = coo.to_csr();
+            let mut dense = DenseMatrix::zeros(m, m);
+            for i in 0..m {
+                for (j, v) in csr.row_entries(i) {
+                    dense[(i, j)] = v;
                 }
-                dense.solve(&rhs)?
-            } else {
-                let csr = coo.to_csr();
-                let pre = SsorPreconditioner::new(&csr, 1.5);
-                solve_pcg(
-                    &csr,
-                    &rhs,
-                    &pre,
-                    &IterativeConfig::new(20 * m + 1000, 1e-12),
-                )?
-                .solution
             }
+            dense.solve(&rhs)?
         };
 
         // Scatter back to full node order.
@@ -518,25 +481,36 @@ mod tests {
     }
 
     #[test]
-    fn dense_and_cg_agree() {
-        // A ladder big enough for CG to be exercised meaningfully.
+    fn dense_matches_series_ladder_closed_form() {
+        // A 300-node chain to ground: every watt injected at node `k` or
+        // above crosses each resistor below it, so the temperatures follow
+        // in closed form from the series resistances and suffix sums of the
+        // sources.
         let mut net = ThermalNetwork::new();
         let nodes: Vec<NodeId> = (0..300).map(|i| net.add_node(format!("n{i}"))).collect();
         net.add_resistor(nodes[0], Terminal::Ground, r(1.0));
         for w in nodes.windows(2) {
             net.add_resistor(w[0], w[1], r(0.5));
         }
+        let source = |i: usize| if i.is_multiple_of(7) { 0.01 } else { 0.0 };
         for (i, n) in nodes.iter().enumerate() {
-            if i % 7 == 0 {
-                net.add_source(*n, Power::from_watts(0.01));
+            if source(i) > 0.0 {
+                net.add_source(*n, Power::from_watts(source(i)));
             }
         }
-        let dense = net.solve_with(SolverChoice::Dense).unwrap();
-        let cg = net.solve_with(SolverChoice::ConjugateGradient).unwrap();
-        for n in &nodes {
-            let d = dense.temperature(*n).as_kelvin();
-            let c = cg.temperature(*n).as_kelvin();
-            assert!((d - c).abs() < 1e-6 * d.abs().max(1.0), "{d} vs {c}");
+        let sol = net.solve().unwrap();
+        let mut above: f64 = (0..nodes.len()).map(source).sum();
+        let mut expected = 1.0 * above;
+        for (i, n) in nodes.iter().enumerate() {
+            if i > 0 {
+                expected += 0.5 * above;
+            }
+            above -= source(i);
+            let got = sol.temperature(*n).as_kelvin();
+            assert!(
+                (got - expected).abs() <= 1e-9 * expected,
+                "node {i}: {got} vs closed form {expected}"
+            );
         }
     }
 

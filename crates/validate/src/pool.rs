@@ -3,8 +3,9 @@
 //! Two execution surfaces share the same self-scheduling core:
 //!
 //! * [`WorkerPool`] — **long-lived** threads behind a bounded job queue.
-//!   Submitting is cheap (one queue push, no thread spawn), so it is the
-//!   right executor for a serving loop: `ttsv-serve` hands every accepted
+//!   Submitting is cheap (one queue push, no thread spawn) and never
+//!   blocks — a full queue hands the job back — so it is the right
+//!   executor for a serving loop: `ttsv-serve` hands every accepted
 //!   connection to one pool, spawned once at startup. Jobs must own their
 //!   data (`'static`): safe Rust cannot loan a caller's stack borrow to a
 //!   thread that outlives the call, which is exactly why the borrowed
@@ -54,18 +55,17 @@ struct PoolShared {
     state: Mutex<PoolState>,
     /// Signaled when a job is pushed or shutdown begins (workers wait).
     job_ready: Condvar,
-    /// Signaled when a job is popped (submitters blocked on a full queue
-    /// wait) or finished (idle waiters wait).
+    /// Signaled when a job finishes (idle waiters wait).
     job_done: Condvar,
     capacity: usize,
 }
 
 /// A bounded pool of long-lived worker threads.
 ///
-/// Jobs are closures that own their data; [`WorkerPool::submit`] blocks
-/// while the queue is at capacity (backpressure, so a flood of
-/// connections cannot exhaust memory), and dropping the pool drains the
-/// queue before joining the workers.
+/// Jobs are closures that own their data; [`WorkerPool::try_submit`]
+/// refuses work while the queue is at capacity (so a flood of connections
+/// cannot exhaust memory), and dropping the pool drains the queue before
+/// joining the workers.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     handles: Vec<JoinHandle<()>>,
@@ -129,23 +129,6 @@ impl WorkerPool {
         self.handles.len()
     }
 
-    /// Enqueues a job, blocking while the queue is at capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pool is already shutting down (jobs submitted from a
-    /// live pool handle never observe this).
-    pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
-        let mut state = lock_state(&self.shared);
-        while state.queue.len() >= self.shared.capacity && !state.shutting_down {
-            state = wait_on(&self.shared.job_done, state);
-        }
-        assert!(!state.shutting_down, "submit on a shut-down pool");
-        state.queue.push_back(Box::new(job));
-        drop(state);
-        self.shared.job_ready.notify_one();
-    }
-
     /// Enqueues a job only if the queue has room, never blocking: the
     /// admission-control path. A saturated (or shutting-down) pool hands
     /// the job straight back so the caller can shed the work — e.g.
@@ -186,66 +169,12 @@ impl WorkerPool {
     }
 
     /// Blocks until the queue is empty and no job is running — the pause
-    /// point the serving tests use to observe a quiescent server.
+    /// point the pool's own tests use to observe a quiescent pool.
     pub fn wait_idle(&self) {
         let mut state = lock_state(&self.shared);
         while !state.queue.is_empty() || state.in_flight > 0 {
             state = wait_on(&self.shared.job_done, state);
         }
-    }
-
-    /// Runs `count` owned jobs on the persistent workers and returns the
-    /// results in job order — [`scoped_batch`] for `'static` closures,
-    /// without spawning. The caller blocks until the batch completes.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first (by job order) error any job produced.
-    ///
-    /// # Panics
-    ///
-    /// Propagates a panic from `eval` (the batch is abandoned).
-    pub fn run_batch<T, E, F>(&self, count: usize, eval: F) -> Result<Vec<T>, E>
-    where
-        T: Send + 'static,
-        E: Send + 'static,
-        F: Fn(usize) -> Result<T, E> + Send + Sync + 'static,
-    {
-        if count == 0 {
-            return Ok(Vec::new());
-        }
-        let eval = Arc::new(eval);
-        let (tx, rx) = std::sync::mpsc::channel::<(usize, Result<T, E>)>();
-        let jobs = count.min(self.workers().max(1) * 2);
-        let next = Arc::new(AtomicUsize::new(0));
-        for _ in 0..jobs {
-            let eval = Arc::clone(&eval);
-            let tx = tx.clone();
-            let next = Arc::clone(&next);
-            // Each submitted job is itself self-scheduling: it keeps
-            // claiming indices until the batch is drained, so `count`
-            // jobs never flood the bounded queue.
-            self.submit(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= count {
-                    break;
-                }
-                if tx.send((i, eval(i))).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        let mut results: Vec<Option<Result<T, E>>> = Vec::new();
-        results.resize_with(count, || None);
-        for (i, result) in rx {
-            results[i] = Some(result);
-        }
-        let mut out = Vec::with_capacity(count);
-        for slot in results {
-            out.push(slot.expect("every batch job evaluated")?);
-        }
-        Ok(out)
     }
 }
 
@@ -282,7 +211,6 @@ impl Drop for WorkerPool {
             state.shutting_down = true;
         }
         self.shared.job_ready.notify_all();
-        self.shared.job_done.notify_all();
         for handle in self.handles.drain(..) {
             // A worker that panicked already reported; don't double-panic
             // in drop.
@@ -306,7 +234,6 @@ fn worker_loop(shared: &PoolShared) {
                 state = wait_on(&shared.job_ready, state);
             }
         };
-        shared.job_done.notify_all();
         // A panicking job must not take the worker thread (or the pool's
         // `in_flight` accounting) down with it — the server keeps serving.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
@@ -396,13 +323,22 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
 
+    /// Submits through the admission path, retrying while the queue is
+    /// full (the tests want every job to run, not to be shed).
+    fn submit<F: FnOnce() + Send + 'static>(pool: &WorkerPool, mut job: F) {
+        while let Err(back) = pool.try_submit(job) {
+            job = back;
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn persistent_pool_runs_submitted_jobs() {
         let pool = WorkerPool::new(2);
         let hits = Arc::new(AtomicU64::new(0));
         for _ in 0..100 {
             let hits = Arc::clone(&hits);
-            pool.submit(move || {
+            submit(&pool, move || {
                 hits.fetch_add(1, Ordering::Relaxed);
             });
         }
@@ -418,7 +354,7 @@ mod tests {
         let ids = Arc::new(Mutex::new(std::collections::HashSet::new()));
         for _ in 0..64 {
             let ids = Arc::clone(&ids);
-            pool.submit(move || {
+            submit(&pool, move || {
                 ids.lock().unwrap().insert(std::thread::current().id());
             });
         }
@@ -431,59 +367,18 @@ mod tests {
     }
 
     #[test]
-    fn pool_batch_returns_results_in_job_order() {
-        let pool = WorkerPool::new(3);
-        let got = pool
-            .run_batch::<_, String, _>(50, |i| Ok(i * i))
-            .expect("no failures");
-        assert_eq!(got, (0..50).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn pool_batch_propagates_the_first_error_by_job_order() {
-        let pool = WorkerPool::new(2);
-        let err = pool
-            .run_batch(10, |i| {
-                if i >= 4 {
-                    Err(format!("job {i} failed"))
-                } else {
-                    Ok(i)
-                }
-            })
-            .unwrap_err();
-        assert_eq!(err, "job 4 failed");
-    }
-
-    #[test]
     fn pool_drop_drains_pending_jobs() {
         let hits = Arc::new(AtomicU64::new(0));
         {
             let pool = WorkerPool::with_queue_capacity(1, 8);
             for _ in 0..8 {
                 let hits = Arc::clone(&hits);
-                pool.submit(move || {
+                submit(&pool, move || {
                     hits.fetch_add(1, Ordering::Relaxed);
                 });
             }
         }
         assert_eq!(hits.load(Ordering::Relaxed), 8);
-    }
-
-    #[test]
-    fn submit_applies_backpressure_but_completes() {
-        // Capacity 1, slow-ish jobs: submitters must block rather than
-        // grow the queue without bound, and every job still runs.
-        let pool = WorkerPool::with_queue_capacity(1, 1);
-        let hits = Arc::new(AtomicU64::new(0));
-        for _ in 0..16 {
-            let hits = Arc::clone(&hits);
-            pool.submit(move || {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-                hits.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        pool.wait_idle();
-        assert_eq!(hits.load(Ordering::Relaxed), 16);
     }
 
     #[test]
@@ -497,7 +392,7 @@ mod tests {
 
         let g = Arc::clone(&gate);
         let r = Arc::clone(&ran);
-        pool.submit(move || {
+        submit(&pool, move || {
             let (lock, cv) = &*g;
             let mut open = lock.lock().unwrap();
             while !*open {
@@ -536,7 +431,7 @@ mod tests {
     fn monitor_outlives_the_pool_and_reads_idle() {
         let monitor = {
             let pool = WorkerPool::new(1);
-            pool.submit(|| {});
+            submit(&pool, || {});
             pool.wait_idle();
             pool.monitor()
         };
@@ -550,12 +445,12 @@ mod tests {
         // accounting must survive (poison-recovering lock acquisition).
         let pool = WorkerPool::new(1);
         for _ in 0..2 {
-            pool.submit(|| panic!("injected job panic"));
+            submit(&pool, || panic!("injected job panic"));
         }
         pool.wait_idle();
         let hits = Arc::new(AtomicU64::new(0));
         let h = Arc::clone(&hits);
-        pool.submit(move || {
+        submit(&pool, move || {
             h.fetch_add(1, Ordering::Relaxed);
         });
         pool.wait_idle();
