@@ -23,7 +23,6 @@
 //! | `case_study` | §IV-E | the 10 mm × 10 mm DRAM-µP stack unit cell |
 //! | `ablation_axisym_vs_cart` | — | FEM axisymmetric vs full Cartesian discretization cost |
 //! | `ablation_fem_mesh` | — | FEM cost vs mesh resolution (coarse → fine) |
-//! | `ablation_fem_precond` | — | FEM linear solver: multigrid-PCG vs direct banded, two mesh resolutions (the evidence for `FemSolver::Auto`'s rule) |
 //! | `ablation_mg_reuse` | — | multigrid setup amortization: hierarchy build vs numeric refresh, V-cycle cost, sweep with rebuilt vs pooled hierarchies |
 //! | `floorplan_chip` | §IV-E generalized | full-chip 32×32 power-map evaluation through the batch engine: hotspot vs all-distinct gradient maps, factor-once batched vs per-tile solves, warm cross-call cache (via [`hotspot_floorplan`]/[`gradient_floorplan`]) |
 //!
@@ -31,8 +30,9 @@
 //!
 //! `cargo run --release -p ttsv-bench --bin bench_json [-- PATH [--check COMMITTED]]`
 //! times the headline workloads (the fig4 FEM sweep, Model B at deep
-//! segment counts, the FEM solver ablation, the smoothed-aggregation
-//! hierarchy's build/refresh split and V-cycle, the bounded sweep runner,
+//! segment counts, one coarse axisymmetric FEM solve, the
+//! smoothed-aggregation hierarchy's build/refresh split and V-cycle, the
+//! bounded sweep runner,
 //! the 32×32 floorplan-engine evaluations including the factor-once
 //! batched path,
 //! and the `ttsv-serve` session server timed over a real loopback socket:

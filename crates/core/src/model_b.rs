@@ -585,7 +585,7 @@ impl ModelBFactorization {
 
     /// Batched hotspot metric: four right-hand sides share each pass over
     /// the factors
-    /// ([`BlockTridiagonalLu::solve_in_place_x4`]), which is what makes a
+    /// ([`BlockTridiagonalLu::solve_interleaved_x4`]), which is what makes a
     /// thousand same-geometry tiles nearly free. Per-vector results are
     /// bit-identical to [`ModelBFactorization::max_delta_t`].
     ///

@@ -5,14 +5,15 @@
 //! equal-area disc (DESIGN.md §3) and solved here on a cylindrical grid.
 //! The radial discretization uses *exact* cylindrical-shell conductances
 //! (`ln` form), so the thin liner annulus is represented without requiring
-//! sub-micrometre meshing.
+//! sub-micrometre meshing. The system is always solved directly: its
+//! half-bandwidth is the radial cell count, small enough that one banded
+//! LU factorization beats any iteration.
 
-use ttsv_linalg::{BandedMatrix, CooBuilder, CsrMatrix, IterativeConfig};
+use ttsv_linalg::BandedMatrix;
 use ttsv_units::{Length, Power, PowerDensity, TemperatureDelta, ThermalConductivity};
 
 use crate::error::FemError;
 use crate::mesh::Axis;
-use crate::solver::{solve_multigrid_pcg, FemSolver, MultigridContext};
 
 /// Boundary condition at the bottom (`z = 0`) plane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -60,7 +61,6 @@ pub struct AxisymmetricProblem {
     /// Pinned cell temperatures (K above reference).
     pins: Vec<Option<f64>>,
     bottom: BottomBc,
-    solver: FemSolver,
 }
 
 impl AxisymmetricProblem {
@@ -76,7 +76,6 @@ impl AxisymmetricProblem {
             q: vec![0.0; n],
             pins: vec![None; n],
             bottom: BottomBc::default(),
-            solver: FemSolver::default(),
         }
     }
 
@@ -113,34 +112,6 @@ impl AxisymmetricProblem {
     /// Selects the bottom boundary condition (default: heat sink).
     pub fn set_bottom(&mut self, bc: BottomBc) {
         self.bottom = bc;
-    }
-
-    /// Selects the linear solver (default: [`FemSolver::Auto`], which
-    /// picks banded LU for these small-bandwidth meshes); the solution is
-    /// identical to solver tolerance.
-    pub fn set_solver(&mut self, solver: FemSolver) {
-        self.solver = solver;
-    }
-
-    /// The configured linear solver.
-    #[must_use]
-    pub fn solver(&self) -> FemSolver {
-        self.solver
-    }
-
-    /// The solver [`FemSolver::Auto`] resolves to on this mesh (callers
-    /// use this to skip multigrid-only work — warm-start guesses — when
-    /// the direct path will run).
-    #[must_use]
-    pub fn resolved_solver(&self) -> FemSolver {
-        self.solver.resolve(self.nr())
-    }
-
-    /// The iteration budget and tolerance [`AxisymmetricProblem::solve`]
-    /// uses.
-    #[must_use]
-    pub fn default_config(&self) -> IterativeConfig {
-        IterativeConfig::new(40 * self.cell_count() + 2000, 1e-11)
     }
 
     #[inline]
@@ -243,29 +214,6 @@ impl AxisymmetricProblem {
         Power::from_watts(total)
     }
 
-    /// Per-cell conductivities in W/(m·K), indexed `ir + iz·nr` — exposed
-    /// for the nonlinear (temperature-dependent) extension.
-    #[must_use]
-    pub fn cell_conductivities(&self) -> &[f64] {
-        &self.k
-    }
-
-    /// Overwrites every cell conductivity (same indexing as
-    /// [`AxisymmetricProblem::cell_conductivities`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice length mismatches the cell count or any value is
-    /// not strictly positive and finite.
-    pub fn set_cell_conductivities(&mut self, k: &[f64]) {
-        assert_eq!(k.len(), self.k.len(), "conductivity field length mismatch");
-        assert!(
-            k.iter().all(|&v| v.is_finite() && v > 0.0),
-            "conductivities must be positive and finite"
-        );
-        self.k.copy_from_slice(k);
-    }
-
     #[inline]
     fn cell_volume(&self, ir: usize, iz: usize) -> f64 {
         let (r0, r1) = (self.r.face_m(ir), self.r.face_m(ir + 1));
@@ -310,62 +258,14 @@ impl AxisymmetricProblem {
         }
     }
 
-    /// Solves with the default iteration budget.
-    ///
-    /// # Errors
-    ///
-    /// See [`AxisymmetricProblem::solve_with`].
-    pub fn solve(&self) -> Result<AxisymSolution, FemError> {
-        self.solve_with(&self.default_config())
-    }
-
-    /// Solves the finite-volume system with the configured solver (see
-    /// [`AxisymmetricProblem::set_solver`]).
+    /// Solves the finite-volume system by direct banded LU.
     ///
     /// # Errors
     ///
     /// * [`FemError::InvalidProblem`] if nothing fixes the temperature level
     ///   (adiabatic bottom and no pins).
-    /// * [`FemError::Solver`] if CG fails to converge within `config`.
-    pub fn solve_with(&self, config: &IterativeConfig) -> Result<AxisymSolution, FemError> {
-        self.solve_with_guess(config, None)
-    }
-
-    /// Solves like [`AxisymmetricProblem::solve_with`], warm-starting the
-    /// multigrid-PCG path from `guess` — a full per-cell temperature field (indexed
-    /// `ir + iz·nr`, as returned by
-    /// [`AxisymSolution::cell_temperatures_kelvin`]), typically the
-    /// solution of a nearby problem (previous sweep point or Picard
-    /// iterate). The warm start changes the iteration count only; the
-    /// result converges to the same tolerance.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`AxisymmetricProblem::solve_with`].
-    pub fn solve_with_guess(
-        &self,
-        config: &IterativeConfig,
-        guess: Option<&[f64]>,
-    ) -> Result<AxisymSolution, FemError> {
-        self.solve_with_context(config, guess, None)
-    }
-
-    /// Solves like [`AxisymmetricProblem::solve_with_guess`], additionally
-    /// reusing (or populating) the multigrid hierarchy in `mg` on the
-    /// iterative path: repeated solves on this mesh shape — Picard
-    /// iterations, sweep points — skip aggregation/Galerkin setup after
-    /// the first call. The direct solver ignores the context; the
-    /// converged result is identical either way.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`AxisymmetricProblem::solve_with`].
-    pub fn solve_with_context(
-        &self,
-        config: &IterativeConfig,
-        guess: Option<&[f64]>,
-        mg: Option<&mut MultigridContext>,
-    ) -> Result<AxisymSolution, FemError> {
+    /// * [`FemError::Solver`] if the factorization meets a singular pivot.
+    pub fn solve(&self) -> Result<AxisymSolution, FemError> {
         if self.bottom == BottomBc::Adiabatic && self.pins.iter().all(Option::is_none) {
             return Err(FemError::InvalidProblem {
                 reason: "no temperature reference: adiabatic bottom and no pinned cells".into(),
@@ -389,7 +289,6 @@ impl AxisymmetricProblem {
             return Ok(AxisymSolution {
                 problem: self.clone(),
                 temperatures: t,
-                iterations: 0,
             });
         }
 
@@ -404,28 +303,10 @@ impl AxisymmetricProblem {
         }
 
         // The unknown numbering preserves the `ir + iz·nr` order, so the
-        // lexicographic half-bandwidth is at most nr — small enough on
-        // every axisymmetric mesh that `FemSolver::Auto` picks the direct
-        // banded factorization; the multigrid-PCG path remains as the
-        // tests' oracle and the large-problem route.
-        let (solution, iterations) = match self.solver.resolve(nr) {
-            FemSolver::DirectBanded => {
-                let mut banded = BandedMatrix::zeros(m, nr, nr);
-                self.assemble(&slot, &mut rhs, &mut |si, sj, g| banded.add(si, sj, g));
-                (banded.factorize()?.solve(&rhs)?, 0)
-            }
-            FemSolver::Multigrid => {
-                let mut coo = CooBuilder::with_capacity(m, m, 5 * m);
-                self.assemble(&slot, &mut rhs, &mut |si, sj, g| coo.add(si, sj, g));
-                let csr: CsrMatrix = coo.to_csr();
-                // Project a full-field guess onto the unknown slots.
-                let guess_unknowns: Option<Vec<f64>> = guess
-                    .filter(|g| g.len() == n)
-                    .map(|g| cells.iter().map(|&i| g[i]).collect());
-                solve_multigrid_pcg(&csr, &rhs, config, guess_unknowns.as_deref(), mg)?
-            }
-            FemSolver::Auto => unreachable!("resolve() never returns Auto"),
-        };
+        // lexicographic half-bandwidth is at most nr.
+        let mut banded = BandedMatrix::zeros(m, nr, nr);
+        self.assemble(&slot, &mut rhs, &mut |si, sj, g| banded.add(si, sj, g));
+        let solution = banded.factorize()?.solve(&rhs)?;
 
         let mut temperatures = vec![0.0; n];
         for (s, &cell) in cells.iter().enumerate() {
@@ -439,13 +320,12 @@ impl AxisymmetricProblem {
         Ok(AxisymSolution {
             problem: self.clone(),
             temperatures,
-            iterations,
         })
     }
 
     /// Walks every face conductance once, emitting the unknown-by-unknown
     /// stencil contributions through `add` (pinned neighbours fold into
-    /// `rhs`). Shared by the banded and CSR assemblies.
+    /// `rhs`).
     fn assemble(&self, slot: &[usize], rhs: &mut [f64], add: &mut dyn FnMut(usize, usize, f64)) {
         let (nr, nz) = (self.nr(), self.nz());
         let couple = |i: usize,
@@ -499,18 +379,18 @@ pub struct AxisymSolution {
     problem: AxisymmetricProblem,
     /// Cell temperatures (K above reference), indexed `ir + iz·nr`.
     temperatures: Vec<f64>,
-    iterations: usize,
 }
 
 impl AxisymSolution {
-    /// PCG iterations the solve took (0 for the direct banded solver).
+    /// Iterations the linear solve took: always 0, because the solve is a
+    /// direct factorization. Kept for callers that report the count.
     #[must_use]
     pub fn iterations(&self) -> usize {
-        self.iterations
+        0
     }
 
     /// Raw per-cell temperatures in kelvin above the reference, indexed
-    /// `ir + iz·nr` — exposed for the nonlinear extension.
+    /// `ir + iz·nr`.
     #[must_use]
     pub fn cell_temperatures_kelvin(&self) -> &[f64] {
         &self.temperatures
@@ -640,6 +520,7 @@ impl AxisymSolution {
 mod tests {
     use super::*;
     use crate::analytic::SlabStack;
+    use ttsv_linalg::{solve_cg, CooBuilder, IterativeConfig};
 
     fn um(v: f64) -> Length {
         Length::from_micrometers(v)
@@ -761,55 +642,34 @@ mod tests {
     }
 
     #[test]
-    fn preconditioner_choices_agree() {
-        let build = || {
-            let r = Axis::builder()
-                .segment(um(8.0), 4)
-                .segment(um(42.0), 12)
-                .build();
-            let z = Axis::builder().segment(um(100.0), 30).build();
-            let mut prob = AxisymmetricProblem::new(r, z, kk(150.0));
-            prob.set_material((um(0.0), um(8.0)), (um(0.0), um(100.0)), kk(400.0));
-            prob.add_source((um(0.0), um(50.0)), (um(95.0), um(100.0)), wmm3(100.0));
-            prob
-        };
-        let mut direct = build();
-        direct.set_solver(FemSolver::DirectBanded);
-        let reference = direct.solve().unwrap().max_temperature().as_kelvin();
-        let mut prob = build();
-        prob.set_solver(FemSolver::Multigrid);
-        let solution = prob.solve().unwrap();
-        assert!(solution.iterations() > 0, "the multigrid leg must iterate");
-        let got = solution.max_temperature().as_kelvin();
+    fn direct_solve_matches_plain_cg_oracle() {
+        // The same assembled system solved by unpreconditioned CG — an
+        // independent linear solve — must agree with the banded LU.
+        let r = Axis::builder()
+            .segment(um(8.0), 4)
+            .segment(um(42.0), 12)
+            .build();
+        let z = Axis::builder().segment(um(100.0), 30).build();
+        let mut prob = AxisymmetricProblem::new(r, z, kk(150.0));
+        prob.set_material((um(0.0), um(8.0)), (um(0.0), um(100.0)), kk(400.0));
+        prob.add_source((um(0.0), um(50.0)), (um(95.0), um(100.0)), wmm3(100.0));
+        let reference = prob.solve().unwrap().max_temperature().as_kelvin();
+
+        // No pins: every cell is an unknown, numbered like the field.
+        let (nr, n) = (prob.nr(), prob.cell_count());
+        let slot: Vec<usize> = (0..n).collect();
+        let mut rhs: Vec<f64> = (0..n)
+            .map(|i| prob.q[i] * prob.cell_volume(i % nr, i / nr))
+            .collect();
+        let mut coo = CooBuilder::with_capacity(n, n, 5 * n);
+        prob.assemble(&slot, &mut rhs, &mut |i, j, g| coo.add(i, j, g));
+        let config = IterativeConfig::new(40 * n + 2000, 1e-11);
+        let cg = solve_cg(&coo.to_csr(), &rhs, &config).unwrap();
+        assert!(cg.iterations > 0, "the oracle leg must iterate");
+        let got = cg.solution.iter().fold(f64::NEG_INFINITY, |m, &t| m.max(t));
         assert!(
             (got - reference).abs() < 1e-7 * reference,
-            "multigrid {got} vs direct {reference}"
-        );
-    }
-
-    #[test]
-    fn warm_start_from_own_solution_converges_immediately() {
-        let r = Axis::builder().segment(um(30.0), 10).build();
-        let z = Axis::builder().segment(um(60.0), 20).build();
-        let mut prob = AxisymmetricProblem::new(r, z, kk(100.0));
-        prob.add_source((um(0.0), um(30.0)), (um(55.0), um(60.0)), wmm3(200.0));
-        // Force the iterative path: the direct solver has no warm start.
-        prob.set_solver(FemSolver::Multigrid);
-        let cold = prob.solve().unwrap();
-        let warm = prob
-            .solve_with_guess(
-                &prob.default_config(),
-                Some(cold.cell_temperatures_kelvin()),
-            )
-            .unwrap();
-        assert!(
-            warm.iterations() <= 1,
-            "warm restart took {} iterations",
-            warm.iterations()
-        );
-        assert!(
-            (warm.max_temperature().as_kelvin() - cold.max_temperature().as_kelvin()).abs()
-                < 1e-9 * cold.max_temperature().as_kelvin()
+            "plain CG {got} vs direct {reference}"
         );
     }
 

@@ -11,7 +11,11 @@ use ttsv_units::{Length, Power, PowerDensity, TemperatureDelta, ThermalConductiv
 
 use crate::error::FemError;
 use crate::mesh::Axis;
-use crate::solver::{solve_multigrid_pcg, FemSolver, MultigridContext};
+use crate::solver::{solve_multigrid_pcg, MultigridContext};
+
+/// Widest lexicographic half-bandwidth (`nx·ny`) solved by direct banded
+/// LU; wider boxes take multigrid-PCG.
+const DIRECT_MAX_HALF_BANDWIDTH: usize = 64;
 
 /// A steady heat-conduction problem on a `[0,Lx] × [0,Ly] × [0,Lz]` box with
 /// a heat sink at `z = 0` and adiabatic walls elsewhere.
@@ -28,7 +32,6 @@ pub struct CartesianProblem {
     k: Vec<f64>,
     /// Cell volumetric source (W/m³).
     q: Vec<f64>,
-    solver: FemSolver,
 }
 
 impl CartesianProblem {
@@ -42,21 +45,7 @@ impl CartesianProblem {
             z,
             k: vec![background.as_watts_per_meter_kelvin(); n],
             q: vec![0.0; n],
-            solver: FemSolver::default(),
         }
-    }
-
-    /// Selects the linear solver (default: [`FemSolver::Auto`], which
-    /// picks multigrid-PCG for all but the tiniest boxes); the solution
-    /// is identical to solver tolerance.
-    pub fn set_solver(&mut self, solver: FemSolver) {
-        self.solver = solver;
-    }
-
-    /// The configured linear solver.
-    #[must_use]
-    pub fn solver(&self) -> FemSolver {
-        self.solver
     }
 
     /// Cell counts along (x, y, z).
@@ -232,31 +221,22 @@ impl CartesianProblem {
         IterativeConfig::new(40 * self.cell_count() + 2000, 1e-10)
     }
 
-    /// Solves with a default iteration budget.
+    /// Solves with the default iteration budget (see
+    /// [`CartesianProblem::solve_with_context`]).
     ///
     /// # Errors
     ///
-    /// See [`CartesianProblem::solve_with`].
+    /// Returns [`FemError::Solver`] if CG fails to converge.
     pub fn solve(&self) -> Result<CartesianSolution, FemError> {
-        self.solve_with(&self.default_config())
+        self.solve_with_context(&self.default_config(), None)
     }
 
-    /// Solves the finite-volume system with the configured solver (see
-    /// [`CartesianProblem::set_solver`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FemError::Solver`] if CG fails to converge within `config`.
-    pub fn solve_with(&self, config: &IterativeConfig) -> Result<CartesianSolution, FemError> {
-        self.solve_with_context(config, None, None)
-    }
-
-    /// Solves like [`CartesianProblem::solve_with`], warm-starting the
-    /// iterative path from `guess` (a full per-cell field, indexed
-    /// `ix + iy·nx + iz·nx·ny`) and reusing (or populating) the multigrid
+    /// Solves the finite-volume system: direct banded LU when the
+    /// lexicographic half-bandwidth `nx·ny` is at most 64, otherwise
+    /// multigrid-PCG within `config`, reusing (or populating) the
     /// hierarchy in `mg` — repeated solves on one box shape skip
-    /// aggregation/Galerkin setup after the first call. Neither knob
-    /// changes what the solve converges to.
+    /// aggregation/Galerkin setup after the first call. The context does
+    /// not change what the solve converges to.
     ///
     /// # Errors
     ///
@@ -264,27 +244,31 @@ impl CartesianProblem {
     pub fn solve_with_context(
         &self,
         config: &IterativeConfig,
-        guess: Option<&[f64]>,
+        mg: Option<&mut MultigridContext>,
+    ) -> Result<CartesianSolution, FemError> {
+        let (nx, ny, _) = self.dims();
+        self.solve_by(nx * ny <= DIRECT_MAX_HALF_BANDWIDTH, config, mg)
+    }
+
+    /// [`CartesianProblem::solve_with_context`] with the path given
+    /// (`direct` = banded LU), so the tests can run both on one box.
+    pub(crate) fn solve_by(
+        &self,
+        direct: bool,
+        config: &IterativeConfig,
         mg: Option<&mut MultigridContext>,
     ) -> Result<CartesianSolution, FemError> {
         let (nx, ny, nz) = self.dims();
         let n = nx * ny * nz;
         let mut rhs = vec![0.0; n];
-        // Lexicographic half-bandwidth is nx·ny: only the tiniest boxes
-        // qualify for the direct path under `FemSolver::Auto`.
-        let (temperatures, iterations) = match self.solver.resolve(nx * ny) {
-            FemSolver::DirectBanded => {
-                let mut banded = BandedMatrix::zeros(n, nx * ny, nx * ny);
-                self.assemble(&mut rhs, &mut |i, j, g| banded.add(i, j, g));
-                (banded.factorize()?.solve(&rhs)?, 0)
-            }
-            FemSolver::Multigrid => {
-                let mut coo = CooBuilder::with_capacity(n, n, 7 * n);
-                self.assemble(&mut rhs, &mut |i, j, g| coo.add(i, j, g));
-                let guess = guess.filter(|g| g.len() == n);
-                solve_multigrid_pcg(&coo.to_csr(), &rhs, config, guess, mg)?
-            }
-            FemSolver::Auto => unreachable!("resolve() never returns Auto"),
+        let (temperatures, iterations) = if direct {
+            let mut banded = BandedMatrix::zeros(n, nx * ny, nx * ny);
+            self.assemble(&mut rhs, &mut |i, j, g| banded.add(i, j, g));
+            (banded.factorize()?.solve(&rhs)?, 0)
+        } else {
+            let mut coo = CooBuilder::with_capacity(n, n, 7 * n);
+            self.assemble(&mut rhs, &mut |i, j, g| coo.add(i, j, g));
+            solve_multigrid_pcg(&coo.to_csr(), &rhs, config, mg)?
         };
         Ok(CartesianSolution {
             problem: self.clone(),
@@ -356,8 +340,7 @@ impl CartesianSolution {
     }
 
     /// Raw per-cell temperatures in kelvin above the sink, indexed
-    /// `ix + iy·nx + iz·nx·ny` — the warm-start guess format of
-    /// [`CartesianProblem::solve_with_context`].
+    /// `ix + iy·nx + iz·nx·ny`.
     #[must_use]
     pub fn cell_temperatures_kelvin(&self) -> &[f64] {
         &self.temperatures
@@ -510,31 +493,30 @@ mod tests {
 
     #[test]
     fn preconditioner_choices_agree() {
-        let build = || {
-            let x = Axis::builder().segment(um(20.0), 6).build();
-            let y = Axis::builder().segment(um(20.0), 6).build();
-            let z = Axis::builder().segment(um(30.0), 8).build();
-            let mut prob = CartesianProblem::new(x, y, z, kk(1.4));
-            prob.set_material_cylinder(
-                (um(10.0), um(10.0)),
-                um(4.0),
-                (um(0.0), um(30.0)),
-                kk(400.0),
-            );
-            prob.add_source(
-                (um(0.0), um(20.0)),
-                (um(0.0), um(20.0)),
-                (um(25.0), um(30.0)),
-                wmm3(40.0),
-            );
-            prob
-        };
-        let mut direct = build();
-        direct.set_solver(FemSolver::DirectBanded);
-        let reference = direct.solve().unwrap().max_temperature().as_kelvin();
-        let mut prob = build();
-        prob.set_solver(FemSolver::Multigrid);
-        let solution = prob.solve().unwrap();
+        // 6×6 lateral cells: the direct path by default, so force both.
+        let x = Axis::builder().segment(um(20.0), 6).build();
+        let y = Axis::builder().segment(um(20.0), 6).build();
+        let z = Axis::builder().segment(um(30.0), 8).build();
+        let mut prob = CartesianProblem::new(x, y, z, kk(1.4));
+        prob.set_material_cylinder(
+            (um(10.0), um(10.0)),
+            um(4.0),
+            (um(0.0), um(30.0)),
+            kk(400.0),
+        );
+        prob.add_source(
+            (um(0.0), um(20.0)),
+            (um(0.0), um(20.0)),
+            (um(25.0), um(30.0)),
+            wmm3(40.0),
+        );
+        let config = prob.default_config();
+        let reference = prob
+            .solve_by(true, &config, None)
+            .unwrap()
+            .max_temperature()
+            .as_kelvin();
+        let solution = prob.solve_by(false, &config, None).unwrap();
         assert!(solution.iterations() > 0, "the multigrid leg must iterate");
         let got = solution.max_temperature().as_kelvin();
         assert!(

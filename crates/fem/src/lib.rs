@@ -18,6 +18,12 @@
 //!   [Cartesian box](cartesian::CartesianProblem) that bounds the error of
 //!   the square-footprint → equal-area-disc mapping.
 //!
+//! Each geometry has one solver, chosen by the code: the slab and the
+//! axisymmetric cell factor directly (tridiagonal and banded LU); the
+//! Cartesian box uses banded LU while its half-bandwidth `nx·ny` is at
+//! most 64 and smoothed-aggregation multigrid-PCG beyond that, pooling
+//! hierarchies through a [`MultigridContext`].
+//!
 //! # Examples
 //!
 //! A two-layer slab heated on top:
@@ -55,13 +61,12 @@ pub mod axisym;
 pub mod cartesian;
 mod error;
 mod mesh;
-pub mod nonlinear;
 pub mod slab1d;
 mod solver;
 
 pub use error::FemError;
 pub use mesh::Axis;
-pub use solver::{FemSolver, MultigridContext};
+pub use solver::MultigridContext;
 // Re-exported so callers can park reusable hierarchies without a
 // ttsv-linalg import.
 pub use ttsv_linalg::MultigridHierarchy;

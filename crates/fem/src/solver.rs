@@ -1,16 +1,18 @@
-//! Linear-solver configuration shared by the finite-volume problems.
+//! Multigrid-PCG plumbing for the 3-D Cartesian problem.
 //!
-//! Both the axisymmetric and the Cartesian problems assemble symmetric
-//! positive-definite systems on structured grids. Each is solved one of
-//! two ways ([`FemSolver`]): a direct banded LU, or conjugate gradients
-//! preconditioned by a smoothed-aggregation multigrid V-cycle.
-//! [`FemSolver::Auto`] picks by half-bandwidth; the other path stays as
-//! the oracle the tests compare against.
+//! Both finite-volume geometries assemble symmetric positive-definite
+//! systems on structured grids, and each has one solver chosen by the
+//! code, not by a setting. The axisymmetric problem's half-bandwidth is
+//! its radial cell count (15–41 on the standard meshes), so it always
+//! factors directly with banded LU. The Cartesian box takes banded LU
+//! while its half-bandwidth `nx·ny` is at most 64, and conjugate
+//! gradients preconditioned by a smoothed-aggregation multigrid V-cycle
+//! otherwise.
 //!
 //! Multigrid setup (aggregation, Galerkin products) is a one-time cost per
-//! sparsity pattern: callers that solve many systems on one mesh — Picard
-//! iterations, parameter sweeps — pass a [`MultigridContext`] and every
-//! solve after the first refreshes the cached
+//! sparsity pattern: callers that solve many boxes of one shape — the
+//! Cartesian reference over a sweep — pass a [`MultigridContext`] and
+//! every solve after the first refreshes the cached
 //! [`MultigridHierarchy`](ttsv_linalg::MultigridHierarchy) numerically
 //! instead of rebuilding it.
 
@@ -19,50 +21,16 @@ use ttsv_linalg::{
     MultigridPreconditioner, PcgWorkspace,
 };
 
-/// How a finite-volume problem solves its assembled SPD system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FemSolver {
-    /// Pick automatically: banded LU when the lexicographic half-bandwidth
-    /// is at most 64 (the axisymmetric meshes — a direct `O(n·b²)`
-    /// factorization beats any iteration there), multigrid-PCG otherwise
-    /// (the large 3-D Cartesian boxes).
-    #[default]
-    Auto,
-    /// Direct banded LU on the lexicographic numbering (exact; reported
-    /// iteration count is 0).
-    DirectBanded,
-    /// Conjugate gradients preconditioned by a smoothed-aggregation
-    /// multigrid V-cycle ([`MultigridPreconditioner`]), with the setup
-    /// amortized through the pooled-hierarchy refresh path.
-    Multigrid,
-}
-
-impl FemSolver {
-    /// Resolves `Auto` against the problem's lexicographic half-bandwidth.
-    pub(crate) fn resolve(self, half_bandwidth: usize) -> FemSolver {
-        match self {
-            FemSolver::Auto => {
-                if half_bandwidth <= 64 {
-                    FemSolver::DirectBanded
-                } else {
-                    FemSolver::Multigrid
-                }
-            }
-            other => other,
-        }
-    }
-}
-
 /// Reusable multigrid state for repeated solves on one mesh.
 ///
 /// Holds the smoothed-aggregation hierarchy between solves; as long as the
 /// assembled matrix keeps its sparsity pattern (same mesh, new
 /// coefficients), each solve after the first performs a cheap numeric
 /// refresh instead of re-running aggregation and Galerkin-pattern
-/// discovery. Pass one context across Picard iterations or sweep points
-/// via `solve_with_context`; a context is also the hand-off vehicle for
-/// hierarchies parked in a cross-solve cache
-/// ([`MultigridContext::from_hierarchy`] /
+/// discovery. Pass one context across sweep points via
+/// [`CartesianProblem::solve_with_context`](crate::cartesian::CartesianProblem::solve_with_context);
+/// a context is also the hand-off vehicle for hierarchies parked in a
+/// cross-solve cache ([`MultigridContext::from_hierarchy`] /
 /// [`MultigridContext::into_hierarchy`]).
 #[derive(Debug, Default)]
 pub struct MultigridContext {
@@ -130,21 +98,16 @@ impl MultigridContext {
     }
 }
 
-/// Solves the assembled SPD system with multigrid-preconditioned CG,
-/// warm-starting from `guess` when one is supplied and reusing (or
-/// populating) the multigrid hierarchy in `mg` when one is provided.
-/// Returns the solution and the iteration count.
+/// Solves the assembled SPD system with multigrid-preconditioned CG from
+/// a zero start, reusing (or populating) the multigrid hierarchy in `mg`
+/// when one is provided. Returns the solution and the iteration count.
 pub(crate) fn solve_multigrid_pcg(
     a: &CsrMatrix,
     rhs: &[f64],
     config: &IterativeConfig,
-    guess: Option<&[f64]>,
     mg: Option<&mut MultigridContext>,
 ) -> Result<(Vec<f64>, usize), LinalgError> {
-    let mut x = match guess {
-        Some(g) if g.len() == rhs.len() => g.to_vec(),
-        _ => vec![0.0; rhs.len()],
-    };
+    let mut x = vec![0.0; rhs.len()];
     let stats = match mg {
         Some(ctx) => {
             ctx.prepare(a)?;
@@ -167,19 +130,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn auto_picks_direct_on_narrow_bands_and_multigrid_otherwise() {
-        assert_eq!(FemSolver::default(), FemSolver::Auto);
-        assert_eq!(FemSolver::Auto.resolve(64), FemSolver::DirectBanded);
-        assert_eq!(FemSolver::Auto.resolve(65), FemSolver::Multigrid);
-        // An explicit choice is never overridden.
-        assert_eq!(FemSolver::Multigrid.resolve(1), FemSolver::Multigrid);
-        assert_eq!(
-            FemSolver::DirectBanded.resolve(1000),
-            FemSolver::DirectBanded
-        );
-    }
-
-    #[test]
     fn context_counts_builds_and_refreshes() {
         use ttsv_linalg::CooBuilder;
         let assemble = |scale: f64| {
@@ -199,8 +149,8 @@ mod tests {
         let b = vec![1.0; 128];
         let a1 = assemble(1.0);
         let a2 = assemble(4.0);
-        let (x1, _) = solve_multigrid_pcg(&a1, &b, &cfg, None, Some(&mut ctx)).unwrap();
-        let (x2, _) = solve_multigrid_pcg(&a2, &b, &cfg, None, Some(&mut ctx)).unwrap();
+        let (x1, _) = solve_multigrid_pcg(&a1, &b, &cfg, Some(&mut ctx)).unwrap();
+        let (x2, _) = solve_multigrid_pcg(&a2, &b, &cfg, Some(&mut ctx)).unwrap();
         assert_eq!((ctx.builds(), ctx.refreshes()), (1, 1));
         assert!(a1.residual_norm(&x1, &b).unwrap() < 1e-7);
         assert!(a2.residual_norm(&x2, &b).unwrap() < 1e-7);

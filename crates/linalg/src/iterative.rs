@@ -66,8 +66,8 @@ pub struct SolveStats {
 /// Reusable scratch buffers for [`solve_pcg_into`].
 ///
 /// The PCG inner loop needs four work vectors; keeping them in a workspace
-/// lets repeated solves (parameter sweeps, Picard iterations) run without
-/// per-solve allocation.
+/// lets repeated solves (parameter sweeps) run without per-solve
+/// allocation.
 #[derive(Debug, Clone, Default)]
 pub struct PcgWorkspace {
     r: Vec<f64>,

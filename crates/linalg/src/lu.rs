@@ -127,16 +127,6 @@ impl LuDecomposition {
         Ok(x)
     }
 
-    /// Solves for multiple right-hand sides, returning one solution per RHS.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if any RHS has the wrong
-    /// length.
-    pub fn solve_many(&self, rhs: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, LinalgError> {
-        rhs.iter().map(|b| self.solve(b)).collect()
-    }
-
     /// Determinant of the original matrix (product of U's diagonal with the
     /// permutation sign).
     #[must_use]
@@ -226,16 +216,6 @@ mod tests {
                 assert!((prod[(i, j)] - want).abs() < 1e-12);
             }
         }
-    }
-
-    #[test]
-    fn solve_many_matches_individual_solves() {
-        let a = DenseMatrix::from_rows(&[&[3.0, 1.0], &[1.0, 2.0]]);
-        let lu = a.lu().unwrap();
-        let rhs = vec![vec![1.0, 0.0], vec![0.0, 1.0]];
-        let xs = lu.solve_many(&rhs).unwrap();
-        assert_eq!(xs[0], lu.solve(&[1.0, 0.0]).unwrap());
-        assert_eq!(xs[1], lu.solve(&[0.0, 1.0]).unwrap());
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //! discovery, and the transpose adjacency. All of it depends only on the
 //! sparsity pattern plus the build-time strength classification, so it
 //! lives in a reusable [`MultigridHierarchy`]. When the matrix values
-//! change but the pattern does not (Picard re-linearization, parameter
-//! sweeps over one mesh), [`MultigridHierarchy::refresh`] re-computes only
+//! change but the pattern does not (parameter sweeps over one mesh),
+//! [`MultigridHierarchy::refresh`] re-computes only
 //! the numeric content — prolongator weights, Galerkin triple products on
 //! the fixed sparsity, Jacobi diagonals, and the coarsest dense
 //! factorization — without re-aggregating anything.
@@ -914,8 +914,8 @@ impl Scratch {
 /// pattern.
 ///
 /// Build once per pattern with [`MultigridHierarchy::build`]; when the
-/// matrix values change on the same pattern (Picard re-linearization, a
-/// parameter sweep over one mesh), call [`MultigridHierarchy::refresh`] —
+/// matrix values change on the same pattern (a parameter sweep over one
+/// mesh), call [`MultigridHierarchy::refresh`] —
 /// it re-computes only numeric content (prolongator weights, Galerkin
 /// triple products on the fixed sparsity, diagonals, coarsest LU) and
 /// skips aggregation entirely.

@@ -42,8 +42,6 @@ pub struct Metrics {
     /// `accept(2)` failures observed by the accept loop (fd exhaustion,
     /// aborted handshakes); each one also triggers a short backoff there.
     accept_errors: AtomicU64,
-    /// Connections currently inside `handle_connection` (gauge).
-    inflight: AtomicU64,
     /// Blocked-`poll(2)` returns across all event loops (the spin
     /// window never touches this). An idle server should hold this near
     /// zero — that is the whole point of blocking in `poll`, and the CI
@@ -95,8 +93,6 @@ pub struct MetricsSnapshot {
     /// Accept-loop errors (not requests: nothing was parsed or answered,
     /// so these stay outside the accounting invariant).
     pub accept_errors: u64,
-    /// Connections currently being handled (gauge, not a total).
-    pub inflight: u64,
     /// Blocked-`poll(2)` returns across all event loops (outside the
     /// accounting invariant: wakeups are not requests).
     pub poll_wakeups: u64,
@@ -130,7 +126,6 @@ impl Metrics {
             timeouts: AtomicU64::new(0),
             panics: AtomicU64::new(0),
             accept_errors: AtomicU64::new(0),
-            inflight: AtomicU64::new(0),
             poll_wakeups: AtomicU64::new(0),
             poll_spurious: AtomicU64::new(0),
             adopt_errors: AtomicU64::new(0),
@@ -202,15 +197,6 @@ impl Metrics {
         self.adopt_errors.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Marks one connection entering service; the returned guard
-    /// decrements the gauge on drop (panic-safe: the worker's
-    /// `catch_unwind` runs destructors).
-    #[must_use]
-    pub fn inflight_guard(&self) -> InflightGuard<'_> {
-        self.inflight.fetch_add(1, Ordering::Relaxed);
-        InflightGuard { metrics: self }
-    }
-
     /// The latency at quantile `q` (nearest-rank over the histogram,
     /// reported as the matched bucket's upper bound), or 0 before any
     /// request.
@@ -259,7 +245,6 @@ impl Metrics {
             timeouts: self.timeouts.load(Ordering::Relaxed),
             panics: self.panics.load(Ordering::Relaxed),
             accept_errors: self.accept_errors.load(Ordering::Relaxed),
-            inflight: self.inflight.load(Ordering::Relaxed),
             poll_wakeups: self.poll_wakeups.load(Ordering::Relaxed),
             poll_spurious: self.poll_spurious.load(Ordering::Relaxed),
             adopt_errors: self.adopt_errors.load(Ordering::Relaxed),
@@ -339,19 +324,6 @@ impl PersistStats {
             compactions: self.compactions.load(Ordering::Relaxed),
             write_errors: self.write_errors.load(Ordering::Relaxed),
         }
-    }
-}
-
-/// Decrements the in-flight gauge when the connection finishes (however
-/// it finishes).
-#[derive(Debug)]
-pub struct InflightGuard<'a> {
-    metrics: &'a Metrics,
-}
-
-impl Drop for InflightGuard<'_> {
-    fn drop(&mut self) {
-        self.metrics.inflight.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -465,23 +437,5 @@ mod tests {
         let m = Metrics::new();
         m.record(200, Duration::from_nanos(u64::MAX));
         assert_eq!(m.latency_quantile_ns(1.0), u64::MAX);
-    }
-
-    #[test]
-    fn inflight_gauge_tracks_guards_even_across_panics() {
-        let m = Metrics::new();
-        assert_eq!(m.snapshot().inflight, 0);
-        {
-            let _a = m.inflight_guard();
-            let _b = m.inflight_guard();
-            assert_eq!(m.snapshot().inflight, 2);
-        }
-        assert_eq!(m.snapshot().inflight, 0);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _g = m.inflight_guard();
-            panic!("unwind through the guard");
-        }));
-        assert!(caught.is_err());
-        assert_eq!(m.snapshot().inflight, 0, "guard drops during unwind");
     }
 }

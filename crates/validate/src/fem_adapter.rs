@@ -13,7 +13,7 @@ use std::sync::{Arc, Mutex};
 use ttsv_core::scenario::{Scenario, ThermalModel};
 use ttsv_core::CoreError;
 use ttsv_fem::axisym::{AxisymSolution, AxisymmetricProblem};
-use ttsv_fem::{Axis, FemSolver, MultigridContext, MultigridHierarchy};
+use ttsv_fem::{Axis, MultigridContext, MultigridHierarchy};
 use ttsv_units::{Area, Length, TemperatureDelta};
 
 /// Mesh-resolution knobs for the reference solves.
@@ -84,21 +84,17 @@ impl FemResolution {
     }
 }
 
-/// Warm-start cache: the latest solved temperature field per mesh shape.
-/// Shared across clones (one sweep shares one cache between its worker
-/// threads); keyed by `(nr, nz)` so a guess is only ever applied to a
-/// mesh of identical layout.
-type WarmCache = Arc<Mutex<HashMap<(usize, usize), Vec<f64>>>>;
-
-/// Multigrid-hierarchy pool: reusable smoothed-aggregation setups per mesh
-/// shape, shared across clones exactly like [`WarmCache`]. A solve pops a
-/// hierarchy, numerically refreshes it for its matrix values, and returns
-/// it — so an entire sweep over one mesh re-runs aggregation zero times
-/// after the first point (each concurrent worker at most once).
-type MgPool<K> = Arc<Mutex<HashMap<K, Vec<MultigridHierarchy>>>>;
+/// Multigrid-hierarchy pool of the Cartesian reference: reusable
+/// smoothed-aggregation setups per box shape `(nx, ny, nz)`, shared across
+/// clones. A solve pops a hierarchy, numerically refreshes it for its
+/// matrix values, and returns it — so an entire sweep over one box shape
+/// re-runs aggregation zero times after the first point (each concurrent
+/// worker at most once).
+type MgPool = Arc<Mutex<HashMap<(usize, usize, usize), Vec<MultigridHierarchy>>>>;
 
 /// The FEM reference model: a [`ThermalModel`] backed by the axisymmetric
-/// finite-volume solver.
+/// finite-volume solver, which factors every mesh directly (banded LU), so
+/// a solve is exact, order-independent and carries no cross-solve state.
 ///
 /// ```no_run
 /// use ttsv_core::prelude::*;
@@ -114,12 +110,6 @@ type MgPool<K> = Arc<Mutex<HashMap<K, Vec<MultigridHierarchy>>>>;
 pub struct FemReference {
     resolution: FemResolution,
     device_thickness: Length,
-    solver: FemSolver,
-    warm: WarmCache,
-    mg: MgPool<(usize, usize)>,
-    /// Full hierarchy builds performed on the iterative path (shared
-    /// across clones) — sweep tests assert this stays at one per mesh.
-    mg_builds: Arc<AtomicUsize>,
 }
 
 impl Default for FemReference {
@@ -136,33 +126,21 @@ impl FemReference {
         Self {
             resolution: FemResolution::default(),
             device_thickness: Length::from_micrometers(1.0),
-            solver: FemSolver::default(),
-            warm: Arc::new(Mutex::new(HashMap::new())),
-            mg: Arc::new(Mutex::new(HashMap::new())),
-            mg_builds: Arc::new(AtomicUsize::new(0)),
         }
     }
 
-    /// How many full multigrid hierarchy builds (aggregation + Galerkin
-    /// pattern discovery) the iterative path has performed across all
-    /// clones sharing this reference. Solves that reuse a pooled
-    /// hierarchy only refresh it numerically and do not count.
+    /// Multigrid hierarchy builds this reference has performed: always 0,
+    /// because the axisymmetric solve is a direct factorization. Kept for
+    /// callers that report the count.
     #[must_use]
     pub fn multigrid_builds(&self) -> usize {
-        self.mg_builds.load(Ordering::Relaxed)
+        0
     }
 
     /// Overrides the mesh resolution.
     #[must_use]
     pub fn with_resolution(mut self, resolution: FemResolution) -> Self {
         self.resolution = resolution;
-        self
-    }
-
-    /// Overrides the linear solver (default: [`FemSolver::Auto`]).
-    #[must_use]
-    pub fn with_solver(mut self, solver: FemSolver) -> Self {
-        self.solver = solver;
         self
     }
 
@@ -319,63 +297,15 @@ impl FemReference {
 
     /// Runs the reference solve and returns the full field.
     ///
-    /// Successive solves on meshes of the same shape (every point of a
-    /// parameter sweep) warm-start PCG from the previous field via a cache
-    /// shared across clones; the direct solver ignores the guess, and the
-    /// warm start never changes what the solve converges to — only how
-    /// fast it gets there.
-    ///
     /// # Errors
     ///
     /// Propagates mesh/solver failures as [`CoreError::InvalidScenario`].
     pub fn solve(&self, scenario: &Scenario) -> Result<AxisymSolution, CoreError> {
-        let mut prob = self.build_problem(scenario)?;
-        prob.set_solver(self.solver);
-        // The warm-start and hierarchy caches only matter on the iterative
-        // path; the direct banded solver (the `Auto` resolution on every
-        // standard mesh) ignores them, so skip the lock-and-clone entirely.
-        let iterative = prob.resolved_solver() == FemSolver::Multigrid;
-        let key = (prob.nr(), prob.nz());
-        let (guess, mut mg) = if iterative {
-            let guess = self
-                .warm
-                .lock()
-                .ok()
-                .and_then(|cache| cache.get(&key).cloned());
-            // Pop a pooled hierarchy for this mesh shape: the solve will
-            // refresh its numeric content instead of re-aggregating.
-            let pooled = self
-                .mg
-                .lock()
-                .ok()
-                .and_then(|mut pool| pool.get_mut(&key).and_then(Vec::pop));
-            let ctx = match pooled {
-                Some(hierarchy) => MultigridContext::from_hierarchy(hierarchy),
-                None => MultigridContext::new(),
-            };
-            (guess, Some(ctx))
-        } else {
-            (None, None)
-        };
-        let solution = prob
-            .solve_with_context(&prob.default_config(), guess.as_deref(), mg.as_mut())
+        self.build_problem(scenario)?
+            .solve()
             .map_err(|e| CoreError::InvalidScenario {
                 reason: format!("FEM reference solve failed: {e}"),
-            })?;
-        if iterative {
-            if let Ok(mut cache) = self.warm.lock() {
-                cache.insert(key, solution.cell_temperatures_kelvin().to_vec());
-            }
-            if let Some(ctx) = mg {
-                self.mg_builds.fetch_add(ctx.builds(), Ordering::Relaxed);
-                if let Some(hierarchy) = ctx.into_hierarchy() {
-                    if let Ok(mut pool) = self.mg.lock() {
-                        pool.entry(key).or_default().push(hierarchy);
-                    }
-                }
-            }
-        }
-        Ok(solution)
+            })
     }
 }
 
@@ -389,12 +319,9 @@ impl ThermalModel for FemReference {
     }
 
     fn cache_tag(&self) -> String {
-        // Resolution, device thickness, and solver all change the
-        // discrete answer; the display name carries none of them.
-        format!(
-            "FEM[{:?},{:?},{:?}]",
-            self.resolution, self.device_thickness, self.solver
-        )
+        // Resolution and device thickness both change the discrete
+        // answer; the display name carries neither.
+        format!("FEM[{:?},{:?}]", self.resolution, self.device_thickness)
     }
 }
 
@@ -417,13 +344,11 @@ pub struct CartesianReference {
     pub lateral_cells: usize,
     /// Vertical resolution knobs (shared with the axisymmetric adapter).
     pub resolution: FemResolution,
-    /// Linear solver for the 3-D system (default: [`FemSolver::Auto`],
-    /// which resolves to multigrid-PCG at these sizes).
-    pub solver: FemSolver,
     device_thickness: Length,
-    /// Reusable multigrid hierarchies per box shape (these solves run the
-    /// multigrid-PCG path, where setup dominates repeated evaluations).
-    mg: MgPool<(usize, usize, usize)>,
+    /// Reusable multigrid hierarchies per box shape (boxes wider than 8×8
+    /// cells run multigrid-PCG, where setup dominates repeated
+    /// evaluations).
+    mg: MgPool,
     mg_builds: Arc<AtomicUsize>,
 }
 
@@ -440,15 +365,16 @@ impl CartesianReference {
         Self {
             lateral_cells: 30,
             resolution: FemResolution::default(),
-            solver: FemSolver::default(),
             device_thickness: Length::from_micrometers(1.0),
             mg: Arc::new(Mutex::new(HashMap::new())),
             mg_builds: Arc::new(AtomicUsize::new(0)),
         }
     }
 
-    /// Full multigrid hierarchy builds performed so far (shared across
-    /// clones) — see [`FemReference::multigrid_builds`].
+    /// How many full multigrid hierarchy builds (aggregation + Galerkin
+    /// pattern discovery) have run across all clones sharing this
+    /// reference. Solves that reuse a pooled hierarchy only refresh it
+    /// numerically and do not count.
     #[must_use]
     pub fn multigrid_builds(&self) -> usize {
         self.mg_builds.load(Ordering::Relaxed)
@@ -465,13 +391,6 @@ impl CartesianReference {
     #[must_use]
     pub fn with_resolution(mut self, resolution: FemResolution) -> Self {
         self.resolution = resolution;
-        self
-    }
-
-    /// Overrides the linear solver (default: [`FemSolver::Auto`]).
-    #[must_use]
-    pub fn with_solver(mut self, solver: FemSolver) -> Self {
-        self.solver = solver;
         self
     }
 
@@ -536,7 +455,6 @@ impl CartesianReference {
         let z = zb.build();
 
         let mut prob = CartesianProblem::new(x, y, z, stack.k_si());
-        prob.set_solver(self.solver);
         let full = (Length::ZERO, side);
         for (lo, hi, k) in bands {
             prob.set_material(full, full, (lo, hi), k);
@@ -576,8 +494,8 @@ impl ThermalModel for CartesianReference {
 
     fn cache_tag(&self) -> String {
         format!(
-            "FEM-cart[{},{:?},{:?},{:?}]",
-            self.lateral_cells, self.resolution, self.device_thickness, self.solver
+            "FEM-cart[{},{:?},{:?}]",
+            self.lateral_cells, self.resolution, self.device_thickness
         )
     }
 
@@ -594,7 +512,7 @@ impl ThermalModel for CartesianReference {
             None => MultigridContext::new(),
         };
         let solution = prob
-            .solve_with_context(&prob.default_config(), None, Some(&mut ctx))
+            .solve_with_context(&prob.default_config(), Some(&mut ctx))
             .map_err(|e| CoreError::InvalidScenario {
                 reason: format!("Cartesian reference solve failed: {e}"),
             })?;
@@ -718,33 +636,6 @@ mod tests {
         assert!(
             (axisym - cart).abs() < 0.10 * cart,
             "axisym {axisym} vs cartesian {cart}"
-        );
-    }
-
-    #[test]
-    fn sweep_over_one_mesh_builds_the_hierarchy_once() {
-        // Force the iterative path (Auto picks direct banded on these
-        // meshes) and walk a Fig. 4-style radius sweep: every point has
-        // the same mesh shape, so aggregation/Galerkin setup must run
-        // exactly once — later points only refresh numeric values.
-        let fem = FemReference::new()
-            .with_resolution(FemResolution::coarse())
-            .with_solver(FemSolver::Multigrid);
-        let radii = [3.0, 5.0, 8.0, 12.0];
-        let direct = FemReference::new().with_resolution(FemResolution::coarse());
-        for &r in &radii {
-            let s = scenario(r, 0.5);
-            let iterative = fem.max_delta_t(&s).unwrap().as_kelvin();
-            let reference = direct.max_delta_t(&s).unwrap().as_kelvin();
-            assert!(
-                (iterative - reference).abs() < 1e-6 * reference,
-                "r = {r}: pooled-hierarchy solve {iterative} vs direct {reference}"
-            );
-        }
-        assert_eq!(
-            fem.multigrid_builds(),
-            1,
-            "one mesh shape must aggregate exactly once across the sweep"
         );
     }
 

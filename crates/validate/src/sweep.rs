@@ -15,8 +15,8 @@
 //! of 100+ jobs therefore never oversubscribe the machine, and expensive
 //! jobs naturally load-balance across workers. Evaluation order within a
 //! batch is unspecified; the results come back in job order regardless,
-//! and models with internal warm-start caches (the FEM reference) share
-//! them across workers.
+//! and models with internal caches (the Cartesian reference's multigrid
+//! hierarchy pool) share them across workers.
 
 use ttsv_core::scenario::{Scenario, ThermalModel};
 use ttsv_core::CoreError;
@@ -87,21 +87,6 @@ where
     crate::pool::scoped_batch(count, workers, eval)
 }
 
-/// [`run_batch_with_workers`] at the default pool size
-/// (`available_parallelism()`).
-///
-/// # Errors
-///
-/// Returns the first (by job order) error any job produced.
-pub fn run_batch<T, E, F>(count: usize, eval: F) -> Result<Vec<T>, E>
-where
-    T: Send,
-    E: Send,
-    F: Fn(usize) -> Result<T, E> + Sync,
-{
-    run_batch_with_workers(count, default_workers(), eval)
-}
-
 /// Evaluates every `(x, scenario)` pair with every model, in parallel over
 /// points on a bounded worker pool (at most `available_parallelism()`
 /// workers).
@@ -121,11 +106,9 @@ pub fn run_sweep(
 /// For deterministic models, point evaluation is independent of which
 /// worker claims it, so the returned series are identical for every
 /// `workers` value — the determinism tests run the same sweep at 1 and
-/// `available_parallelism` and compare bitwise. Models with internal
-/// cross-point caches on an *iterative* solve path (a `FemReference`
-/// forced onto PCG warm-starts each point from whichever field a worker
-/// cached last) converge to the same solver tolerance but not bitwise;
-/// the default direct-banded FEM path is exact and order-independent.
+/// `available_parallelism` and compare bitwise. The `FemReference`
+/// solves every point directly (banded LU) with no cross-point state, so
+/// it is exact and order-independent too.
 ///
 /// # Panics
 ///
@@ -273,7 +256,9 @@ mod tests {
 
     #[test]
     fn empty_batch_is_fine() {
-        let out = run_batch::<usize, CoreError, _>(0, |_| unreachable!()).unwrap();
+        let out =
+            run_batch_with_workers::<usize, CoreError, _>(0, default_workers(), |_| unreachable!())
+                .unwrap();
         assert!(out.is_empty());
     }
 

@@ -104,13 +104,13 @@ fn serving_loop_re_solves_only_the_power_delta() {
 
 #[test]
 fn fem_reference_reuses_one_hierarchy_across_distinct_cells() {
-    use ttsv::fem::FemSolver;
+    use ttsv::validate::fem_adapter::CartesianReference;
 
-    // Two distinct power levels on a 3×3 grid; force the iterative
-    // multigrid path (Auto picks direct banded on these meshes) and run
-    // the batch on one worker: every distinct cell shares one mesh shape,
-    // so aggregation must run exactly once — the same pooled-hierarchy
-    // guarantee the 1-D sweeps have.
+    // Two distinct power levels on a 3×3 grid, evaluated by the 3-D
+    // Cartesian reference (16×16 lateral cells, so multigrid-PCG) on one
+    // worker: every distinct cell shares one box shape, so aggregation
+    // must run exactly once and the second cell only refreshes the
+    // pooled hierarchy.
     let cs = CaseStudy::paper();
     let maps = cs
         .plane_powers
@@ -126,9 +126,9 @@ fn fem_reference_reuses_one_hierarchy_across_distinct_cells() {
     let via = ViaDensityMap::uniform(3, 3, cs.density).unwrap();
     let plan = Floorplan::new(&cs, maps, via).unwrap();
 
-    let fem = FemReference::new()
-        .with_resolution(FemResolution::coarse())
-        .with_solver(FemSolver::Multigrid);
+    let fem = CartesianReference::new()
+        .with_lateral_cells(16)
+        .with_resolution(FemResolution::coarse());
     let report = ChipEngine::new()
         .with_workers(1)
         .evaluate(&plan, &fem)

@@ -347,18 +347,12 @@ fn floorplan_uniform_map_matches_the_case_study_pin() {
 
 #[test]
 fn solver_knobs_do_not_move_the_goldens() {
-    // The pinned physics must be solver-invariant: the same Fig. 5 point
-    // solved by the direct banded path and the reused multigrid-PCG path
-    // lands on the same golden value within solver tolerance.
-    use ttsv::fem::FemSolver;
+    // The axisymmetric reference has one solver, direct banded LU, and no
+    // solver setting: the Fig. 5 point it solves lands on its golden value.
     let want_fem = 3.954413044592e1;
-    let s = fig5_scenario(0.5);
-    for (label, solver) in [
-        ("direct", FemSolver::DirectBanded),
-        ("mg", FemSolver::Multigrid),
-    ] {
-        let fem = fem_coarse().with_solver(solver);
-        let got = fem.max_delta_t(&s).unwrap().as_kelvin();
-        assert_golden(&format!("fig5 tl=0.5 FEM via {label}"), got, want_fem, 1e-4);
-    }
+    let got = fem_coarse()
+        .max_delta_t(&fig5_scenario(0.5))
+        .unwrap()
+        .as_kelvin();
+    assert_golden("fig5 tl=0.5 FEM via direct", got, want_fem, 1e-4);
 }
