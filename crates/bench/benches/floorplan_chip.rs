@@ -2,8 +2,9 @@
 //! non-uniform maps): a 32×32 hotspot map (3 distinct unit cells after
 //! dedup) and a 32×32 gradient map (every cell distinct) evaluated
 //! through Model B(100), plus the factor-once batched path (one ladder
-//! factorization shared by all 1024 distinct-power tiles) and the warm
-//! cross-call cache (the serving steady state).
+//! factorization shared by all 1024 distinct-power tiles), the warm
+//! cross-call cache, and a warm two-tile power update on a 24×24 map (the
+//! serving steady state: the engine re-evaluates only the changed tiles).
 //!
 //! The engine's caches persist across calls, so every cold-path row
 //! constructs a fresh engine per iteration — otherwise the second
@@ -51,6 +52,29 @@ fn bench_floorplan(c: &mut Criterion) {
             engine
                 .evaluate_factored(&gradient, &model)
                 .expect("solvable")
+        });
+    });
+    group.bench_function("warm_update_2tile/24x24/model_b_10_1000", |b| {
+        // The serving stream's shape: one engine and one all-distinct
+        // 24×24×3 plan, evaluated once; every iteration then sets two
+        // tiles of one plane to fresh watt values (so both miss every
+        // cache but the matrix tier) and re-evaluates.
+        let model = ModelB::with_segments(10, 1000);
+        let mut plan = gradient_floorplan(24);
+        let engine = ChipEngine::new().with_workers(1);
+        engine.evaluate_factored(&plan, &model).expect("solvable");
+        let mut round = 0usize;
+        b.iter(|| {
+            round += 1;
+            let plane = round % plan.plane_count();
+            let mut tiles = plan.plane_maps()[plane].tiles().to_vec();
+            let n = tiles.len();
+            for tile in [round % n, (round * 7 + 1) % n] {
+                tiles[tile] = Power::from_watts(0.05 + 1e-6 * round as f64);
+            }
+            plan.update_power_map(plane, PowerMap::new(24, 24, tiles).expect("valid map"))
+                .expect("same grid");
+            engine.evaluate_factored(&plan, &model).expect("solvable")
         });
     });
     group.bench_function("hotspot_32x32/model_a", |b| {

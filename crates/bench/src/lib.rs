@@ -24,7 +24,7 @@
 //! | `ablation_axisym_vs_cart` | — | FEM axisymmetric vs full Cartesian discretization cost |
 //! | `ablation_fem_mesh` | — | FEM cost vs mesh resolution (coarse → fine) |
 //! | `ablation_mg_reuse` | — | multigrid setup amortization: hierarchy build vs numeric refresh, V-cycle cost, sweep with rebuilt vs pooled hierarchies |
-//! | `floorplan_chip` | §IV-E generalized | full-chip 32×32 power-map evaluation through the batch engine: hotspot vs all-distinct gradient maps, factor-once batched vs per-tile solves, warm cross-call cache (via [`hotspot_floorplan`]/[`gradient_floorplan`]) |
+//! | `floorplan_chip` | §IV-E generalized | full-chip 32×32 power-map evaluation through the batch engine: hotspot vs all-distinct gradient maps, factor-once batched vs per-tile solves, warm cross-call cache, and a warm 2-tile power update on a 24×24 map (via [`hotspot_floorplan`]/[`gradient_floorplan`]) |
 //!
 //! # Machine-readable perf tracking
 //!

@@ -1,5 +1,32 @@
 //! Batched evaluation of a floorplan's distinct unit cells, with
-//! cross-call result caching on two tiers.
+//! cross-call result caching: a per-plan memo in front of two cache
+//! tiers.
+//!
+//! # The per-plan memo
+//!
+//! [`ChipEngine::evaluate_factored`] keeps, per plan, the last
+//! evaluation's per-tile cell bits and `ΔT` plus the plan's distinct
+//! cells with their tile counts. The memo key is the model's cache tag,
+//! the geometry bits and the full via-density map — everything but the
+//! power maps — so a power update keeps the key. A re-evaluation scans
+//! every tile's cell bits against the memo (word compares, no hashing or
+//! allocation), and only the changed tiles' new cells go down the lookup
+//! chain: the memo's own distinct cells, then the scenario tier, then the
+//! matrix tier. A warm two-tile update therefore costs two lookups and at
+//! most two back-substitutions, not a pass over every tile's keys.
+//! Correctness never rests on the key: two plans that share it (same
+//! geometry and via map) share one memo slot, and the scan finds the
+//! tiles where they differ. A memo is taken out of the engine for the
+//! evaluation and stored back only when it succeeded, so a failed call
+//! leaves no half-updated memo behind. The memos hold at most
+//! [`ChipEngine::with_scenario_cache_cap`] tiles in total, cleared
+//! generationally like the tiers below; a plan larger than the cap is not
+//! memoized.
+//!
+//! [`ChipEngine::evaluate`] — the generic path for models that are not
+//! power-separable — keeps no memo: it dedups and looks up every tile on
+//! every call, which makes it the in-engine oracle the property suites
+//! compare the memoized path against.
 //!
 //! # The two cache tiers
 //!
@@ -7,9 +34,8 @@
 //!   cell (floorplan geometry + via density + per-plane powers) plus the
 //!   model's cache tag. A hit skips the model entirely: the tile's `ΔT`
 //!   is read back from an earlier solve, in this call or any previous
-//!   call on the same engine. This is what makes the serving loop cheap —
-//!   after [`Floorplan::update_power_map`] only the tiles whose power
-//!   bits actually changed miss the cache.
+//!   call on the same engine. Behind the memo it serves sharing across
+//!   plans (and across a plan's earlier versions).
 //! * **Matrix tier** (the factored path,
 //!   [`ChipEngine::evaluate_factored`]) — keyed on the *geometry* bits
 //!   only (powers excluded). For a [`PowerSeparableModel`] such as
@@ -20,13 +46,13 @@
 //!   scenario tier) collapses onto one factorization per distinct via
 //!   density.
 //!
-//! Both tiers are transparent: for deterministic models every cached
-//! value is bit-identical to a fresh per-tile solve (the property suites
-//! compare the engine bitwise against that oracle), so caching changes
-//! cost, never results. The [`ChipEngine::solves`] /
-//! [`ChipEngine::factorizations`] counters make the cost observable — the
-//! serving tests assert that a power delta re-solves exactly the changed
-//! tiles.
+//! The memo and both tiers are transparent: for deterministic models
+//! every cached value is bit-identical to a fresh per-tile solve (the
+//! property suites compare the engine bitwise against that oracle, also
+//! over random update sequences), so caching changes cost, never
+//! results. The [`ChipEngine::solves`] / [`ChipEngine::factorizations`]
+//! counters make the cost observable — the serving tests assert that a
+//! power delta re-solves exactly the changed tiles.
 
 use std::any::Any;
 use std::collections::hash_map::Entry;
@@ -111,19 +137,45 @@ type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
 /// happens on the coordinating thread, workers only solve).
 #[derive(Default)]
 struct EngineCaches {
-    /// Scenario tier: full unit-cell bits → `ΔT` in kelvin.
-    scenario: KeyMap<EngineKey, f64>,
+    /// Plan memos: model tag + geometry + via-map bits → the last
+    /// evaluation of a plan with that key.
+    memos: KeyMap<EngineKey, PlanMemo>,
+    /// Tiles held by `memos`, summed — the quantity the memo bound caps.
+    memo_tiles: usize,
+    /// Scenario tier: model tag + geometry bits → a tile's cell bits
+    /// (density, per-plane powers) → `ΔT` in kelvin. Grouping the cells
+    /// under their geometry keeps each entry to its few cell words.
+    scenario: KeyMap<EngineKey, KeyMap<CellKey, f64>>,
+    /// Cells held by `scenario`, summed over geometries — the quantity
+    /// the scenario cap bounds.
+    scenario_cells: usize,
     /// Matrix tier: geometry bits → type-erased model factorization.
     matrix: KeyMap<EngineKey, Arc<dyn Any + Send + Sync>>,
+}
+
+/// One plan's last factored evaluation: every tile's cell bits and `ΔT`,
+/// plus the plan's distinct cells with their tile counts, so the next
+/// evaluation of a plan under the same key touches only the tiles whose
+/// bits differ.
+struct PlanMemo {
+    /// Row-major cell bits, [`Floorplan::cell_width`] words per tile
+    /// (empty until the first evaluation fills it).
+    cell_bits: Vec<u64>,
+    /// Row-major per-tile `ΔT` in kelvin.
+    delta_t: Vec<f64>,
+    /// The plan's via count (a function of the key alone).
+    total_vias: f64,
+    /// Distinct cell bits → (tiles holding them, `ΔT` in kelvin).
+    cells: KeyMap<CellKey, (usize, f64)>,
 }
 
 /// Evaluates a [`Floorplan`] through any [`ThermalModel`]: deduplicates
 /// identical tiles with a scenario-hash cache (persistent across calls),
 /// batch-solves the distinct unit cells on the bounded self-scheduling
 /// worker pool, and scatters the results back into a full-chip
-/// [`ChipReport`]. [`ChipEngine::evaluate_factored`] adds the matrix
-/// tier for power-separable models — see the module docs for when each
-/// tier fires.
+/// [`ChipReport`]. [`ChipEngine::evaluate_factored`] adds the per-plan
+/// memo and the matrix tier for power-separable models — see the module
+/// docs for when each fires.
 ///
 /// The worker count and the cache caps change cost only: for
 /// deterministic models the report is bit-identical to solving every tile
@@ -144,7 +196,8 @@ pub struct ChipEngine {
 }
 
 /// Default bound on scenario-tier entries (~100 MB of keys at typical
-/// floorplan key widths) — see [`ChipEngine::with_scenario_cache_cap`].
+/// floorplan key widths), and on memoized tiles (about as much again) —
+/// see [`ChipEngine::with_scenario_cache_cap`].
 const DEFAULT_SCENARIO_CACHE_CAP: usize = 1 << 20;
 
 /// Default bound on matrix-tier entries. Factorizations are orders of
@@ -156,7 +209,9 @@ const DEFAULT_MATRIX_CACHE_CAP: usize = 1 << 12;
 impl std::fmt::Debug for EngineCaches {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineCaches")
-            .field("scenario_entries", &self.scenario.len())
+            .field("memos", &self.memos.len())
+            .field("memo_tiles", &self.memo_tiles)
+            .field("scenario_cells", &self.scenario_cells)
             .field("matrix_entries", &self.matrix.len())
             .finish()
     }
@@ -221,6 +276,8 @@ impl ChipEngine {
     /// cleared first (generational eviction — the current working set
     /// repopulates it, and eviction only costs re-solves, never
     /// correctness). Evicted entries count into [`ChipEngine::evictions`].
+    /// The same cap bounds the plan memos of
+    /// [`ChipEngine::evaluate_factored`], counted in memoized tiles.
     ///
     /// # Panics
     ///
@@ -248,31 +305,66 @@ impl ChipEngine {
         self
     }
 
-    /// Inserts this evaluation's keys, keeping the tier within
-    /// [`ChipEngine::with_scenario_cache_cap`]: a working set larger
-    /// than the cap is not cached at all, and one that no longer fits
-    /// beside the existing entries clears the tier first (`new_entries`
-    /// counts this call's cache misses, so steady-state hits don't get
-    /// double-counted into spurious clears).
-    fn cache_scenarios(
+    /// Inserts this evaluation's cells under their geometry key,
+    /// keeping the tier within [`ChipEngine::with_scenario_cache_cap`]: a
+    /// working set larger than the cap is not cached at all, and one
+    /// that no longer fits beside the existing entries clears the tier
+    /// first (`new_entries` counts this call's cache misses, so
+    /// steady-state hits don't get double-counted into spurious clears).
+    fn cache_scenarios<'c>(
         &self,
-        distinct: Vec<((usize, usize), EngineKey)>,
+        geometry: &EngineKey,
+        cells: impl ExactSizeIterator<Item = &'c [u64]>,
         cell_delta_t: &[f64],
         new_entries: usize,
     ) {
-        if distinct.len() > self.scenario_cache_cap {
+        if cells.len() > self.scenario_cache_cap {
             return;
         }
         let mut caches = self.caches.lock().expect("engine cache lock");
-        if caches.scenario.len() + new_entries > self.scenario_cache_cap {
+        let caches = &mut *caches;
+        if caches.scenario_cells + new_entries > self.scenario_cache_cap {
             self.evictions
-                .fetch_add(caches.scenario.len(), Ordering::Relaxed);
+                .fetch_add(caches.scenario_cells, Ordering::Relaxed);
             caches.scenario.clear();
+            caches.scenario_cells = 0;
         }
-        caches.scenario.reserve(distinct.len());
-        for (i, (_, key)) in distinct.into_iter().enumerate() {
-            caches.scenario.insert(key, cell_delta_t[i]);
+        let tier = caches.scenario.entry(geometry.clone()).or_default();
+        for (cell, &dt) in cells.zip(cell_delta_t) {
+            match tier.get_mut(cell) {
+                Some(cached) => *cached = dt,
+                None => {
+                    tier.insert(CellKey::new(cell.to_vec()), dt);
+                    caches.scenario_cells += 1;
+                }
+            }
         }
+    }
+
+    /// Stores a plan memo under `key`, keeping the memo tier within
+    /// [`ChipEngine::with_scenario_cache_cap`] tiles: a plan larger than
+    /// the cap is not memoized, and one that no longer fits beside the
+    /// existing memos clears the tier first (the cleared tiles count
+    /// into [`ChipEngine::evictions`]).
+    fn store_memo(&self, key: EngineKey, memo: PlanMemo) {
+        let tiles = memo.delta_t.len();
+        if tiles > self.scenario_cache_cap {
+            return;
+        }
+        let mut caches = self.caches.lock().expect("engine cache lock");
+        // A concurrent evaluation of a plan under the same key may have
+        // stored its memo meanwhile; the newer one replaces it.
+        if let Some(old) = caches.memos.remove(&key) {
+            caches.memo_tiles -= old.delta_t.len();
+        }
+        if caches.memo_tiles + tiles > self.scenario_cache_cap {
+            self.evictions
+                .fetch_add(caches.memo_tiles, Ordering::Relaxed);
+            caches.memos.clear();
+            caches.memo_tiles = 0;
+        }
+        caches.memo_tiles += tiles;
+        caches.memos.insert(key, memo);
     }
 
     /// Model solves this engine has actually performed (cache misses),
@@ -305,8 +397,9 @@ impl ChipEngine {
     }
 
     /// Entries evicted from either cache tier by the generational caps,
-    /// cumulative across calls. Eviction never changes results — evicted
-    /// work just re-solves on the next touch (property-tested).
+    /// plus memoized tiles dropped by the memo bound, cumulative across
+    /// calls. Eviction never changes results — evicted work just
+    /// re-solves on the next touch (property-tested).
     #[must_use]
     pub fn evictions(&self) -> usize {
         self.evictions.load(Ordering::Relaxed)
@@ -321,22 +414,41 @@ impl ChipEngine {
     #[must_use]
     pub fn cache_entries(&self) -> (usize, usize) {
         let caches = self.caches.lock().expect("engine cache lock");
-        (caches.scenario.len(), caches.matrix.len())
+        (caches.scenario_cells, caches.matrix.len())
+    }
+
+    /// A plan's geometry key — the model tag and the geometry bits —
+    /// under which the scenario tier files its cells.
+    fn geometry_key(plan: &Floorplan, tag: &Arc<str>) -> EngineKey {
+        EngineKey {
+            tag: tag.clone(),
+            bits: plan.geometry_bits(),
+        }
+    }
+
+    /// A plan's memo key: its geometry key plus the grid width and every
+    /// tile's via-density bits. The power maps are left out, so a power
+    /// update keeps the key; the memo's per-tile scan compares them
+    /// instead.
+    fn memo_key(plan: &Floorplan, geometry: &EngineKey) -> EngineKey {
+        let mut bits = Vec::with_capacity(geometry.bits.len() + 1 + plan.tiles());
+        bits.extend_from_slice(&geometry.bits);
+        bits.push(plan.nx() as u64);
+        bits.extend(plan.via_map().tiles().iter().map(|d| d.to_bits()));
+        EngineKey {
+            tag: geometry.tag.clone(),
+            bits,
+        }
     }
 
     /// Gathers the distinct unit cells of a plan: per tile the index into
     /// the distinct list, plus each distinct cell's representative tile
-    /// and full cache key.
+    /// and cell bits.
     #[allow(clippy::type_complexity)]
-    fn distinct_cells(
-        &self,
-        plan: &Floorplan,
-        tag: &Arc<str>,
-    ) -> (Vec<usize>, Vec<((usize, usize), EngineKey)>, f64) {
+    fn distinct_cells(plan: &Floorplan) -> (Vec<usize>, Vec<((usize, usize), CellKey)>, f64) {
         let (nx, ny) = (plan.nx(), plan.ny());
-        let geometry = plan.geometry_bits();
         let mut cell_of = Vec::with_capacity(nx * ny);
-        let mut distinct: Vec<((usize, usize), EngineKey)> = Vec::new();
+        let mut distinct: Vec<((usize, usize), CellKey)> = Vec::new();
         let mut seen: KeyMap<CellKey, usize> = KeyMap::default();
         seen.reserve(nx * ny);
         let mut total_vias = 0.0;
@@ -347,17 +459,7 @@ impl ChipEngine {
                     Entry::Occupied(entry) => *entry.get(),
                     Entry::Vacant(entry) => {
                         let index = distinct.len();
-                        let mut bits =
-                            Vec::with_capacity(geometry.len() + entry.key().bits().len());
-                        bits.extend_from_slice(&geometry);
-                        bits.extend_from_slice(entry.key().bits());
-                        distinct.push((
-                            (ix, iy),
-                            EngineKey {
-                                tag: tag.clone(),
-                                bits,
-                            },
-                        ));
+                        distinct.push(((ix, iy), entry.key().clone()));
                         entry.insert(index);
                         index
                     }
@@ -373,68 +475,42 @@ impl ChipEngine {
         self.workers.unwrap_or_else(default_workers)
     }
 
-    /// The scenario-tier path both entry points share: gathers the plan's
-    /// distinct cells, answers what it can from the scenario cache, hands
-    /// the misses — `(distinct index, representative tile)` pairs, in
-    /// distinct-cell order — to `solve_misses` (which returns one `ΔT` in
-    /// kelvin per miss, in the same order), caches the new values and
-    /// assembles the report.
-    fn evaluate_with<F>(
+    /// Answers what it can of `cells` (filed under `geometry`) from the
+    /// scenario tier: one `ΔT` in kelvin per cell (`NaN` where it missed)
+    /// and the misses' indices, in order. The call counts `distinct`
+    /// cells, of which the misses are the ones still to solve.
+    fn lookup_scenarios<'c>(
         &self,
-        plan: &Floorplan,
-        model_name: String,
-        tag: &Arc<str>,
-        solve_misses: F,
-    ) -> Result<ChipReport, CoreError>
-    where
-        F: FnOnce(&[(usize, (usize, usize))]) -> Result<Vec<f64>, CoreError>,
-    {
-        let (cell_of, distinct, total_vias) = self.distinct_cells(plan, tag);
-        let distinct_count = distinct.len();
-
-        let mut cell_delta_t = vec![f64::NAN; distinct_count];
-        let mut misses: Vec<(usize, (usize, usize))> = Vec::new();
+        geometry: &EngineKey,
+        cells: impl ExactSizeIterator<Item = &'c [u64]>,
+        distinct: usize,
+    ) -> (Vec<f64>, Vec<usize>) {
+        let mut delta_t = vec![f64::NAN; cells.len()];
+        let mut misses = Vec::new();
         {
-            // Only cache lookups run under the lock; scenario and
-            // matrix-key construction (allocation-heavy) happen after it
-            // drops, so concurrent evaluations on a shared engine don't
-            // serialize.
             let caches = self.caches.lock().expect("engine cache lock");
-            for (i, (tile, key)) in distinct.iter().enumerate() {
-                match caches.scenario.get(key) {
-                    Some(&dt) => cell_delta_t[i] = dt,
-                    None => misses.push((i, *tile)),
+            let tier = caches.scenario.get(geometry);
+            for (i, cell) in cells.enumerate() {
+                match tier.and_then(|tier| tier.get(cell)) {
+                    Some(&dt) => delta_t[i] = dt,
+                    None => misses.push(i),
                 }
             }
         }
         self.scenario_hits
-            .fetch_add(distinct_count - misses.len(), Ordering::Relaxed);
+            .fetch_add(distinct - misses.len(), Ordering::Relaxed);
         self.scenario_misses
             .fetch_add(misses.len(), Ordering::Relaxed);
-
-        let solved = solve_misses(&misses)?;
-        self.solves.fetch_add(misses.len(), Ordering::Relaxed);
-        for ((i, _), dt) in misses.iter().zip(solved) {
-            cell_delta_t[*i] = dt;
-        }
-        // One pass moves every key into the cache (re-inserting a hit
-        // rewrites the same value — harmless and branch-free).
-        self.cache_scenarios(distinct, &cell_delta_t, misses.len());
-
-        let delta_t: Vec<f64> = cell_of.iter().map(|&i| cell_delta_t[i]).collect();
-        Ok(ChipReport::from_tiles(
-            model_name,
-            plan.nx(),
-            plan.ny(),
-            delta_t,
-            distinct_count,
-            total_vias,
-        ))
+        (delta_t, misses)
     }
 
     /// Evaluates every tile's unit cell and assembles the chip `ΔT` map,
     /// using the scenario-tier cache across calls; the distinct cells that
     /// miss it are solved through [`ThermalModel::max_delta_t`].
+    ///
+    /// This path keeps no plan memo: it dedups and looks up every tile on
+    /// every call, which makes it the in-engine oracle for
+    /// [`ChipEngine::evaluate_factored`].
     ///
     /// # Errors
     ///
@@ -446,64 +522,205 @@ impl ChipEngine {
         model: &(dyn ThermalModel + Sync),
     ) -> Result<ChipReport, CoreError> {
         let tag: Arc<str> = Arc::from(model.cache_tag());
-        let workers = self.workers();
-        self.evaluate_with(plan, model.name(), &tag, |misses| {
-            let scenarios = misses
-                .iter()
-                .map(|&(_, (ix, iy))| plan.tile_cell(ix, iy).map(|cell| cell.scenario))
-                .collect::<Result<Vec<Scenario>, CoreError>>()?;
-            run_batch_with_workers(scenarios.len(), workers, |k| {
-                model.max_delta_t(&scenarios[k]).map(|t| t.as_kelvin())
+        let geometry = Self::geometry_key(plan, &tag);
+        let (cell_of, distinct, total_vias) = Self::distinct_cells(plan);
+        let distinct_count = distinct.len();
+        let cells = || distinct.iter().map(|(_, cell)| cell.bits());
+        let (mut cell_delta_t, misses) = self.lookup_scenarios(&geometry, cells(), distinct_count);
+
+        let scenarios = misses
+            .iter()
+            .map(|&i| {
+                let (ix, iy) = distinct[i].0;
+                plan.tile_cell(ix, iy).map(|cell| cell.scenario)
             })
-        })
+            .collect::<Result<Vec<Scenario>, CoreError>>()?;
+        let solved = run_batch_with_workers(scenarios.len(), self.workers(), |k| {
+            model.max_delta_t(&scenarios[k]).map(|t| t.as_kelvin())
+        })?;
+        self.solves.fetch_add(misses.len(), Ordering::Relaxed);
+        for (&i, dt) in misses.iter().zip(solved) {
+            cell_delta_t[i] = dt;
+        }
+        // One pass files every cell in the cache (re-inserting a hit
+        // rewrites the same value — harmless).
+        self.cache_scenarios(&geometry, cells(), &cell_delta_t, misses.len());
+
+        let delta_t: Vec<f64> = cell_of.iter().map(|&i| cell_delta_t[i]).collect();
+        Ok(ChipReport::from_tiles(
+            model.name(),
+            plan.nx(),
+            plan.ny(),
+            delta_t,
+            distinct_count,
+            total_vias,
+        ))
     }
 
-    /// Like [`ChipEngine::evaluate`], but for [`PowerSeparableModel`]s:
-    /// distinct cells that miss the scenario tier are solved through the
-    /// matrix tier — one factorization per distinct geometry (via
-    /// density), one back-substitution per distinct power vector — and no
-    /// full [`Scenario`] is even built for tiles whose matrix is already
-    /// cached. Results are bit-identical to [`ChipEngine::evaluate`] on
-    /// the model's default solver path (property-tested).
+    /// Like [`ChipEngine::evaluate`], but for [`PowerSeparableModel`]s,
+    /// and with a per-plan memo: a re-evaluation of a plan whose via map
+    /// and geometry are unchanged touches only the tiles whose power bits
+    /// changed since the last evaluation under the same memo key. Their
+    /// new cells are looked up in the plan's own distinct cells, then the
+    /// scenario tier, and the rest are solved through the matrix tier —
+    /// one factorization per distinct geometry (via density), one
+    /// back-substitution per distinct power vector — with no full
+    /// [`Scenario`] built for tiles whose matrix is already cached.
+    /// Results are bit-identical to [`ChipEngine::evaluate`] on the
+    /// model's default solver path (property-tested).
     ///
     /// # Errors
     ///
     /// Propagates tile validation/factorization failures and the first
-    /// (by distinct-cell order) model error.
+    /// (by distinct-cell order) model error. A failed call leaves no
+    /// memo behind, so the next call starts from a full evaluation.
     pub fn evaluate_factored<M: PowerSeparableModel + Sync>(
         &self,
         plan: &Floorplan,
         model: &M,
     ) -> Result<ChipReport, CoreError> {
-        let tag: Arc<str> = Arc::from(model.cache_tag());
-        self.evaluate_with(plan, model.name(), &tag, |misses| {
-            self.solve_factored(plan, model, &tag, misses)
-        })
+        let geometry = Self::geometry_key(plan, &Arc::from(model.cache_tag()));
+        let key = Self::memo_key(plan, &geometry);
+        let memo = {
+            let mut caches = self.caches.lock().expect("engine cache lock");
+            let memo = caches.memos.remove(&key);
+            if let Some(memo) = &memo {
+                caches.memo_tiles -= memo.delta_t.len();
+            }
+            memo
+        };
+        let mut memo = memo.unwrap_or_else(|| PlanMemo {
+            cell_bits: Vec::new(),
+            delta_t: vec![f64::NAN; plan.tiles()],
+            total_vias: plan.via_count(),
+            cells: KeyMap::default(),
+        });
+        // On error the memo is dropped here, not stored half-updated.
+        self.update_memo(plan, model, &geometry, &mut memo)?;
+        let report = ChipReport::from_tiles(
+            model.name(),
+            plan.nx(),
+            plan.ny(),
+            memo.delta_t.clone(),
+            memo.cells.len(),
+            memo.total_vias,
+        );
+        self.store_memo(key, memo);
+        Ok(report)
+    }
+
+    /// Brings `memo` up to date with `plan`: scans every tile's cell bits
+    /// against the memo (an empty memo counts every tile as changed),
+    /// counts the changed tiles' new cells in and their old cells out,
+    /// resolves the new cells the memo did not hold through the scenario
+    /// tier and then [`ChipEngine::solve_factored`], and patches the
+    /// changed tiles' `ΔT`.
+    fn update_memo<M: PowerSeparableModel + Sync>(
+        &self,
+        plan: &Floorplan,
+        model: &M,
+        geometry: &EngineKey,
+        memo: &mut PlanMemo,
+    ) -> Result<(), CoreError> {
+        let width = plan.cell_width();
+        let tiles = plan.tiles();
+        let span = |t: usize| t * width..(t + 1) * width;
+        let warm = !memo.cell_bits.is_empty();
+        let changed: Vec<usize> = if warm {
+            (0..tiles)
+                .filter(|&t| !plan.cell_bits_match(t, &memo.cell_bits[span(t)]))
+                .collect()
+        } else {
+            memo.cell_bits = vec![0; tiles * width];
+            (0..tiles).collect()
+        };
+
+        // Count the new cells in first, so a cell that only moves between
+        // changed tiles stays held by the plan; `unseen` collects the
+        // cells the memo did not hold, in row-major first-appearance
+        // order.
+        let mut bits = vec![0; width];
+        let mut unseen: Vec<usize> = Vec::new();
+        for &t in &changed {
+            plan.write_cell_bits(t, &mut bits);
+            match memo.cells.get_mut(bits.as_slice()) {
+                Some((count, _)) => *count += 1,
+                None => {
+                    memo.cells.insert(CellKey::new(bits.clone()), (1, f64::NAN));
+                    unseen.push(t);
+                }
+            }
+        }
+        // Then count the old cells out and record the new bits.
+        for &t in &changed {
+            let slot = &mut memo.cell_bits[span(t)];
+            if warm {
+                let (count, _) = memo
+                    .cells
+                    .get_mut(&*slot)
+                    .expect("every memoized tile's cell is counted");
+                *count -= 1;
+                if *count == 0 {
+                    memo.cells.remove(&*slot);
+                }
+            }
+            plan.write_cell_bits(t, slot);
+        }
+
+        let (mut unseen_delta_t, misses) = self.lookup_scenarios(
+            geometry,
+            unseen.iter().map(|&t| &memo.cell_bits[span(t)]),
+            memo.cells.len(),
+        );
+        let nx = plan.nx();
+        let miss_tiles: Vec<(usize, usize)> = misses
+            .iter()
+            .map(|&i| (unseen[i] % nx, unseen[i] / nx))
+            .collect();
+        let solved = self.solve_factored(plan, model, geometry, &miss_tiles)?;
+        self.solves.fetch_add(misses.len(), Ordering::Relaxed);
+        for (&i, dt) in misses.iter().zip(solved) {
+            unseen_delta_t[i] = dt;
+        }
+        self.cache_scenarios(
+            geometry,
+            unseen.iter().map(|&t| &memo.cell_bits[span(t)]),
+            &unseen_delta_t,
+            misses.len(),
+        );
+
+        for (&t, &dt) in unseen.iter().zip(&unseen_delta_t) {
+            memo.cells
+                .get_mut(&memo.cell_bits[span(t)])
+                .expect("counted in above")
+                .1 = dt;
+        }
+        for &t in &changed {
+            memo.delta_t[t] = memo.cells[&memo.cell_bits[span(t)]].1;
+        }
+        Ok(())
     }
 
     /// The matrix-tier miss solver behind [`ChipEngine::evaluate_factored`]:
-    /// groups the misses by geometry, factorizes every geometry not
-    /// already cached, and back-substitutes each miss's power vector.
+    /// groups the missed tiles `(ix, iy)` by via density (the matrix key
+    /// extends the plan's `geometry` key by it), factorizes every matrix
+    /// not already cached, and back-substitutes each miss's power vector;
+    /// returns one `ΔT` in kelvin per miss, in order.
     fn solve_factored<M: PowerSeparableModel + Sync>(
         &self,
         plan: &Floorplan,
         model: &M,
-        tag: &Arc<str>,
-        misses: &[(usize, (usize, usize))],
+        geometry: &EngineKey,
+        misses: &[(usize, usize)],
     ) -> Result<Vec<f64>, CoreError> {
-        let geometry = plan.geometry_bits();
         let workers = self.workers();
         let mut matrix_keys: Vec<EngineKey> = Vec::new();
         let mut matrix_index: KeyMap<EngineKey, usize> = KeyMap::default();
         let mut matrix_of: Vec<usize> = Vec::with_capacity(misses.len());
         let mut matrix_rep: Vec<(usize, usize)> = Vec::new();
-        for &(_, (ix, iy)) in misses {
-            let mut bits = geometry.clone();
-            bits.push(plan.matrix_bits(ix, iy));
-            let mkey = EngineKey {
-                tag: tag.clone(),
-                bits,
-            };
+        for &(ix, iy) in misses {
+            let mut mkey = geometry.clone();
+            mkey.bits.push(plan.matrix_bits(ix, iy));
             let mi = match matrix_index.entry(mkey) {
                 Entry::Occupied(entry) => *entry.get(),
                 Entry::Vacant(entry) => {
@@ -581,7 +798,7 @@ impl ChipEngine {
             let powers: Vec<Vec<Power>> = ks
                 .iter()
                 .map(|&k| {
-                    let (_, (ix, iy)) = misses[k];
+                    let (ix, iy) = misses[k];
                     plan.tile_cell_powers(ix, iy)
                 })
                 .collect();
@@ -714,6 +931,125 @@ mod tests {
         assert_eq!(report.distinct_cells, 2);
         assert_eq!(engine.solves(), 2, "only the changed tile re-solves");
         assert_eq!(engine.factorizations(), 1, "geometry unchanged");
+    }
+
+    /// Model B with one poisoned per-cell power value: a solve whose
+    /// power vector holds it fails, every other call delegates unchanged
+    /// (so results stay bitwise Model B's).
+    struct PoisonedModelB {
+        inner: ModelB,
+        poison: Power,
+    }
+
+    impl PoisonedModelB {
+        fn check(&self, powers: &[Power]) -> Result<(), CoreError> {
+            if powers
+                .iter()
+                .any(|p| p.as_watts().to_bits() == self.poison.as_watts().to_bits())
+            {
+                return Err(CoreError::InvalidScenario {
+                    reason: "poisoned power value".into(),
+                });
+            }
+            Ok(())
+        }
+    }
+
+    impl ThermalModel for PoisonedModelB {
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+        fn max_delta_t(&self, scenario: &Scenario) -> Result<TemperatureDelta, CoreError> {
+            self.check(scenario.plane_powers())?;
+            self.inner.max_delta_t(scenario)
+        }
+    }
+
+    impl PowerSeparableModel for PoisonedModelB {
+        type Factorization = <ModelB as PowerSeparableModel>::Factorization;
+        fn factorize_geometry(
+            &self,
+            scenario: &Scenario,
+        ) -> Result<Self::Factorization, CoreError> {
+            self.inner.factorize_geometry(scenario)
+        }
+        fn solve_with_powers(
+            &self,
+            factorization: &Self::Factorization,
+            plane_powers: &[Power],
+        ) -> Result<TemperatureDelta, CoreError> {
+            self.check(plane_powers)?;
+            self.inner.solve_with_powers(factorization, plane_powers)
+        }
+        fn solve_with_powers_batch(
+            &self,
+            factorization: &Self::Factorization,
+            batch: &[Vec<Power>],
+        ) -> Result<Vec<TemperatureDelta>, CoreError> {
+            for powers in batch {
+                self.check(powers)?;
+            }
+            self.inner.solve_with_powers_batch(factorization, batch)
+        }
+    }
+
+    #[test]
+    fn failed_update_leaves_no_memo_behind() {
+        // A 4×4 plan with every tile distinct; updates edit plane 1.
+        let cs = CaseStudy::paper();
+        let maps: Vec<PowerMap> = (0..3)
+            .map(|j| {
+                PowerMap::from_fn(4, 4, |ix, iy| {
+                    cs.plane_powers[j] * ((1.0 + (iy * 4 + ix) as f64) / 136.0)
+                })
+                .unwrap()
+            })
+            .collect();
+        let via = ViaDensityMap::uniform(4, 4, cs.density).unwrap();
+        let mut plan = Floorplan::new(&cs, maps, via).unwrap();
+        let edit = |plan: &Floorplan, tiles: &[(usize, f64)]| {
+            let mut map = plan.plane_maps()[1].tiles().to_vec();
+            for &(t, watts) in tiles {
+                map[t] = Power::from_watts(watts);
+            }
+            PowerMap::new(4, 4, map).unwrap()
+        };
+        // The poison is tile 5's per-cell plane-1 power at 3.5 W.
+        let poisoned_update = edit(&plan, &[(5, 3.5), (6, 0.25)]);
+        let mut poisoned_plan = plan.clone();
+        poisoned_plan
+            .update_power_map(1, poisoned_update.clone())
+            .unwrap();
+        let model = PoisonedModelB {
+            inner: ModelB::paper_b20(),
+            poison: poisoned_plan.tile_cell_powers(1, 1)[1],
+        };
+
+        let engine = ChipEngine::new();
+        let before = engine.evaluate_factored(&plan, &model).unwrap();
+        let previous = plan.plane_maps()[1].clone();
+        let bits = |r: &ChipReport| r.delta_t.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+
+        // The update hitting the poison fails; rolling the plan back (as
+        // the server does) re-evaluates bitwise to the pre-failure report.
+        plan.update_power_map(1, poisoned_update.clone()).unwrap();
+        assert!(engine.evaluate_factored(&plan, &model).is_err());
+        plan.update_power_map(1, previous.clone()).unwrap();
+        let rolled_back = engine.evaluate_factored(&plan, &model).unwrap();
+        assert_eq!(bits(&rolled_back), bits(&before));
+        assert_eq!(rolled_back.to_json(), before.to_json());
+
+        // Fail again, then go straight to the next valid update, which
+        // keeps tile 6's new power: a memo stored half-updated by the
+        // failed call would hold tile 6's new bits with its old ΔT.
+        plan.update_power_map(1, poisoned_update).unwrap();
+        assert!(engine.evaluate_factored(&plan, &model).is_err());
+        plan.update_power_map(1, previous).unwrap();
+        plan.update_power_map(1, edit(&plan, &[(6, 0.25)])).unwrap();
+        let next = engine.evaluate_factored(&plan, &model).unwrap();
+        let fresh = ChipEngine::new().evaluate_factored(&plan, &model).unwrap();
+        assert_eq!(bits(&next), bits(&fresh));
+        assert_eq!(next.to_json(), fresh.to_json());
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! identical `(density, plane powers)` produce bit-identical scenarios —
 //! the dedup invariant [`ChipEngine`](crate::engine::ChipEngine) exploits.
 
+use std::borrow::Borrow;
+
 use serde::{Deserialize, Serialize};
 use ttsv_core::full_chip::CaseStudy;
 use ttsv_core::geometry::{HeatLoad, Plane, Stack, TtsvConfig};
@@ -43,13 +45,26 @@ pub struct TileCell {
 }
 
 /// Everything that distinguishes one tile's unit cell from another's,
-/// as exact bit patterns — the scenario-hash dedup key.
+/// as exact bit patterns — the scenario-hash dedup key. It borrows as
+/// its raw `[u64]` bits (equal hashes, equal equality), so a key map can
+/// be probed with a scratch slice without allocating a key.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct CellKey(Vec<u64>);
 
 impl CellKey {
+    /// Wraps raw cell bits (density first, then per-plane powers).
+    pub(crate) fn new(bits: Vec<u64>) -> Self {
+        Self(bits)
+    }
+
     /// The raw bit patterns (density first, then per-plane powers).
     pub(crate) fn bits(&self) -> &[u64] {
+        &self.0
+    }
+}
+
+impl Borrow<[u64]> for CellKey {
+    fn borrow(&self) -> &[u64] {
         &self.0
     }
 }
@@ -328,6 +343,32 @@ impl Floorplan {
             bits.push(m.get(ix, iy).as_watts().to_bits());
         }
         CellKey(bits)
+    }
+
+    /// Words in one tile's cell bits: the density plus one power per
+    /// plane.
+    pub(crate) fn cell_width(&self) -> usize {
+        self.plane_maps.len() + 1
+    }
+
+    /// Writes row-major tile `tile`'s cell bits (the [`CellKey`] words)
+    /// into `out`, which must be [`Floorplan::cell_width`] long.
+    pub(crate) fn write_cell_bits(&self, tile: usize, out: &mut [u64]) {
+        out[0] = self.via_map.tiles()[tile].to_bits();
+        for (word, m) in out[1..].iter_mut().zip(&self.plane_maps) {
+            *word = m.tiles()[tile].as_watts().to_bits();
+        }
+    }
+
+    /// Whether row-major tile `tile`'s cell bits equal `bits` — the
+    /// allocation-free comparison behind the engine's per-plan memo.
+    pub(crate) fn cell_bits_match(&self, tile: usize, bits: &[u64]) -> bool {
+        bits[0] == self.via_map.tiles()[tile].to_bits()
+            && self
+                .plane_maps
+                .iter()
+                .zip(&bits[1..])
+                .all(|(m, &b)| m.tiles()[tile].as_watts().to_bits() == b)
     }
 }
 

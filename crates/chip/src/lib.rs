@@ -16,25 +16,30 @@
 //!   [`CaseStudy`](ttsv_core::full_chip::CaseStudy)) + maps → per-tile
 //!   unit-cell scenarios, with
 //!   [`Floorplan::update_power_map`] as the serving-loop delta move,
-//! * [`ChipEngine`] — dedup + batched evaluation behind **two
-//!   cross-call cache tiers**,
+//! * [`ChipEngine`] — dedup + batched evaluation behind a **per-plan
+//!   memo** and **two cross-call cache tiers**,
 //! * [`ChipReport`] — the full-chip `ΔT` map with hotspot statistics
 //!   (max / p99 / mean, argmax tile), JSON-serializable for downstream
 //!   serving.
 //!
-//! # The two cache tiers
+//! # The memo and the two cache tiers
 //!
 //! The engine's caches persist across calls and key on exact bit
 //! patterns, so they change cost, never results:
 //!
+//! * **Per-plan memo** — [`ChipEngine::evaluate_factored`] keeps each
+//!   plan's last per-tile cell bits and `ΔT`, keyed on the model, the
+//!   geometry and the via map. After [`Floorplan::update_power_map`] a
+//!   re-evaluation finds the changed tiles with one word-compare scan
+//!   and touches only them, so a warm update costs O(changed tiles)
+//!   lookups plus their solves.
 //! * **Scenario tier** — keyed on geometry + via density + per-plane
 //!   powers (+ the model's
 //!   [`cache_tag`](ttsv_core::scenario::ThermalModel::cache_tag)). Fires
 //!   whenever two tiles are bit-identical — within one evaluation (the
 //!   classic dedup: a 32×32 hotspot map with 3 power levels costs 3
-//!   solves, not 1024) or across evaluations (after
-//!   [`Floorplan::update_power_map`], only the tiles whose power bits
-//!   changed are re-solved).
+//!   solves, not 1024) or across evaluations and plans (a cell any
+//!   earlier evaluation solved is not solved again).
 //! * **Matrix tier** — keyed on geometry + via density only, used by
 //!   [`ChipEngine::evaluate_factored`] for
 //!   [`PowerSeparableModel`](ttsv_core::scenario::PowerSeparableModel)s
@@ -46,8 +51,9 @@
 //!   factorization.
 //!
 //! The [`ChipEngine::solves`] and [`ChipEngine::factorizations`]
-//! counters expose what actually ran; the property suites check both
-//! tiers (and the factored path) bitwise against direct per-tile solves.
+//! counters expose what actually ran; the property suites check the
+//! memo, both tiers and the factored path bitwise against direct
+//! per-tile solves, also over random power-update sequences.
 //!
 //! In the uniform-map limit the engine reproduces the single-unit-cell
 //! case study (the golden suite pins this).

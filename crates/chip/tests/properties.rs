@@ -1,11 +1,15 @@
 //! Property tests for the floorplan engine: power conservation under the
 //! tiling, bitwise agreement of both cached evaluation paths with a
-//! per-tile oracle, and worker-count determinism of the batch runner —
-//! randomized over grid shapes, plane counts, quantized power levels, and
-//! via densities.
+//! per-tile oracle, worker-count determinism of the batch runner, and
+//! seeded power-update sequences through the factored path's per-plan
+//! memo — randomized over grid shapes, plane counts, quantized power
+//! levels, and via densities.
+
+use std::collections::HashSet;
 
 use proptest::prelude::*;
-use ttsv_chip::{ChipEngine, Floorplan, PowerMap, ViaDensityMap};
+use proptest::test_runner::TestCaseError;
+use ttsv_chip::{ChipEngine, ChipReport, Floorplan, PowerMap, ViaDensityMap};
 use ttsv_core::full_chip::CaseStudy;
 use ttsv_core::model_a::ModelA;
 use ttsv_core::prelude::*;
@@ -85,6 +89,133 @@ fn per_tile(plan: &Floorplan, model: &dyn ThermalModel) -> Vec<f64> {
         }
     }
     out
+}
+
+/// SplitMix64: the update sequences' generator (the strategy draws only
+/// its seed).
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// Evaluations per update sequence (the first one cold).
+const STEPS: usize = 12;
+
+/// The power of an edited tile: usually one of the quantized levels, so
+/// edits land on cells the plan or the cache may already hold, and
+/// otherwise a fresh value no earlier step produced.
+fn edit_power(rng: &mut Rng) -> Power {
+    if rng.below(4) == 0 {
+        Power::from_watts(2.0 + rng.below(1 << 20) as f64 * 1e-6)
+    } else {
+        Power::from_watts(POWER_LEVELS[rng.below(POWER_LEVELS.len())])
+    }
+}
+
+/// Applies one random update step the way the serving loop does, one
+/// whole plane map at a time through `update_power_map`: a sparse 1–3
+/// tile edit, a whole-plane replacement, a no-op (every plane re-set to
+/// itself), a tile reverted to its cell at an earlier step (`history`
+/// holds every earlier step's maps), or a tile set to another tile's
+/// cell.
+fn random_step(plan: &mut Floorplan, history: &[Vec<PowerMap>], rng: &mut Rng) {
+    let (nx, ny, tiles) = (plan.nx(), plan.ny(), plan.tiles());
+    let mut maps: Vec<Vec<Power>> = plan
+        .plane_maps()
+        .iter()
+        .map(|m| m.tiles().to_vec())
+        .collect();
+    let plane = rng.below(maps.len());
+    match rng.below(5) {
+        0 => {
+            for _ in 0..1 + rng.below(3) {
+                maps[plane][rng.below(tiles)] = edit_power(rng);
+            }
+        }
+        1 => {
+            for power in &mut maps[plane] {
+                *power = edit_power(rng);
+            }
+        }
+        2 => {}
+        3 => {
+            let earlier = &history[rng.below(history.len())];
+            let t = rng.below(tiles);
+            for (map, old) in maps.iter_mut().zip(earlier) {
+                map[t] = old.tiles()[t];
+            }
+        }
+        _ => {
+            let (from, to) = (rng.below(tiles), rng.below(tiles));
+            for map in &mut maps {
+                map[to] = map[from];
+            }
+        }
+    }
+    for (j, tiles) in maps.into_iter().enumerate() {
+        let map = PowerMap::new(nx, ny, tiles).expect("edits are finite and non-negative");
+        plan.update_power_map(j, map).expect("same grid");
+    }
+}
+
+/// The plan's distinct cells, as raw bits (density, then per-plane
+/// powers), computed independently of the engine.
+fn cell_set(plan: &Floorplan) -> HashSet<Vec<u64>> {
+    (0..plan.tiles())
+        .map(|t| {
+            let mut bits = vec![plan.via_map().tiles()[t].to_bits()];
+            bits.extend(
+                plan.plane_maps()
+                    .iter()
+                    .map(|m| m.tiles()[t].as_watts().to_bits()),
+            );
+            bits
+        })
+        .collect()
+}
+
+/// Checks a report from a long-lived engine against a fresh engine's
+/// evaluation of the same plan and the per-tile oracle, bitwise: every
+/// tile, the statistics, the hottest tile, the counts and the JSON.
+fn check_against_fresh(
+    report: &ChipReport,
+    plan: &Floorplan,
+    model: &ModelB,
+) -> Result<(), TestCaseError> {
+    let fresh = ChipEngine::new()
+        .evaluate_factored(plan, model)
+        .expect("solvable");
+    let oracle = per_tile(plan, model);
+    let bits = |v: &[f64]| v.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+    prop_assert_eq!(bits(&report.delta_t), bits(&oracle));
+    prop_assert_eq!(bits(&report.delta_t), bits(&fresh.delta_t));
+    for (got, want) in [
+        (report.max_delta_t, fresh.max_delta_t),
+        (report.mean_delta_t, fresh.mean_delta_t),
+        (report.p99_delta_t, fresh.p99_delta_t),
+        (report.total_vias, fresh.total_vias),
+    ] {
+        prop_assert_eq!(got.to_bits(), want.to_bits());
+    }
+    prop_assert_eq!(
+        (report.argmax_ix, report.argmax_iy),
+        (fresh.argmax_ix, fresh.argmax_iy)
+    );
+    prop_assert_eq!(report.distinct_cells, fresh.distinct_cells);
+    prop_assert_eq!(report.distinct_cells, cell_set(plan).len());
+    prop_assert_eq!(report.to_json(), fresh.to_json());
+    Ok(())
 }
 
 proptest! {
@@ -202,5 +333,70 @@ proptest! {
         prop_assert_eq!(&serial.delta_t, &two.delta_t);
         prop_assert_eq!(&serial.delta_t, &pooled.delta_t);
         prop_assert_eq!(serial.distinct_cells, pooled.distinct_cells);
+    }
+
+    /// The per-plan memo is transparent over update sequences: after
+    /// every step of a seeded sequence on one plan and one engine,
+    /// `evaluate_factored` matches a fresh engine and the per-tile oracle
+    /// bitwise, and solves exactly the new distinct cells that neither
+    /// the previous plan nor the scenario tier held (at the default cap
+    /// the tier keeps every cell this engine ever evaluated, so those are
+    /// the cells never seen before).
+    #[test]
+    fn update_sequences_match_fresh_evaluation(p in plan_params(), seed in 0u64..u64::MAX) {
+        let model = ModelB::paper_b20();
+        let mut plan = build(&p);
+        let engine = ChipEngine::new();
+        let mut rng = Rng(seed);
+        let mut history: Vec<Vec<PowerMap>> = Vec::new();
+        let mut seen: HashSet<Vec<u64>> = HashSet::new();
+        for step in 0..STEPS {
+            if step > 0 {
+                random_step(&mut plan, &history, &mut rng);
+            }
+            history.push(plan.plane_maps().to_vec());
+            let cells = cell_set(&plan);
+            let solves = engine.solves();
+            let report = engine.evaluate_factored(&plan, &model).expect("solvable");
+            prop_assert_eq!(engine.solves() - solves, cells.difference(&seen).count());
+            seen.extend(cells);
+            check_against_fresh(&report, &plan, &model)?;
+        }
+    }
+
+    /// Two plans with identical geometry and via map share one memo slot:
+    /// alternating their update sequences on one engine, each evaluation
+    /// still matches a fresh engine bitwise — at the default caps, at a
+    /// cap of one plan's tiles (memo and scenario tier evicting), and at
+    /// a cap of 1 (nothing memoized).
+    #[test]
+    fn alternating_plans_sharing_a_memo_key_stay_bitwise(
+        p in plan_params(),
+        seed in 0u64..u64::MAX,
+    ) {
+        let model = ModelB::paper_b20();
+        let second = PlanParams {
+            power_levels: p.power_levels.iter().map(|l| (l + 1) % POWER_LEVELS.len()).collect(),
+            ..p.clone()
+        };
+        for cap in [None, Some(p.nx * p.ny), Some(1)] {
+            let engine = match cap {
+                Some(cap) => ChipEngine::new().with_scenario_cache_cap(cap),
+                None => ChipEngine::new(),
+            };
+            let mut plans = [build(&p), build(&second)];
+            let mut rngs = [Rng(seed), Rng(seed ^ 0x5555_5555_5555_5555)];
+            let mut histories: [Vec<Vec<PowerMap>>; 2] = [Vec::new(), Vec::new()];
+            for step in 0..STEPS {
+                for k in 0..2 {
+                    if step > 0 {
+                        random_step(&mut plans[k], &histories[k], &mut rngs[k]);
+                    }
+                    histories[k].push(plans[k].plane_maps().to_vec());
+                    let report = engine.evaluate_factored(&plans[k], &model).expect("solvable");
+                    check_against_fresh(&report, &plans[k], &model)?;
+                }
+            }
+        }
     }
 }

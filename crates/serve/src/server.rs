@@ -30,10 +30,12 @@
 //! makes *zero* wakeups instead of ticking every millisecond (the
 //! `/metrics` `readiness` block counts wakeups).
 //!
-//! Every worker shares one [`ChipEngine`] whose two cache tiers are
-//! bounded by the config's caps — a warm power-delta request re-solves
-//! only the tiles whose bits changed, which is the entire point of
-//! serving sessions instead of stateless requests. By default a warm
+//! Every worker shares one [`ChipEngine`] whose per-plan memo and two
+//! cache tiers are bounded by the config's caps — a warm power-delta
+//! request costs only the tiles whose bits changed (one word-compare
+//! scan finds them, and only their new cells are looked up or solved),
+//! which is the entire point of serving sessions instead of stateless
+//! requests. By default a warm
 //! update also *answers* with only what changed: a delta response
 //! carrying the changed tiles and updated summary statistics
 //! (`?full=1` opts back into the full report; see `docs/PROTOCOL.md`).
@@ -148,7 +150,8 @@ pub struct ServerConfig {
     pub session_shards: usize,
     /// Per-session tile quota (`nx · ny` at registration).
     pub max_tiles: usize,
-    /// Scenario-tier cache cap handed to the shared engine.
+    /// Scenario-tier cache cap handed to the shared engine (it also
+    /// bounds the engine's plan memos, in tiles).
     pub scenario_cache_cap: usize,
     /// Matrix-tier cache cap handed to the shared engine.
     pub matrix_cache_cap: usize,
@@ -376,7 +379,7 @@ struct ConnDeadlines {
 /// computed against).
 struct SessionState {
     spec: SessionSpec,
-    last_report: Option<ChipReport>,
+    last_report: ChipReport,
 }
 
 /// One registered session: the serialized state plus the flood-control
@@ -493,7 +496,7 @@ impl ServerState {
         let session = Arc::new(Session {
             state: Mutex::new(SessionState {
                 spec,
-                last_report: Some(report),
+                last_report: report,
             }),
             pending: AtomicUsize::new(0),
         });
@@ -568,14 +571,9 @@ impl ServerState {
                 let body = if full {
                     report.to_json()
                 } else {
-                    match &state.last_report {
-                        Some(prev) if prev.delta_t.len() == report.delta_t.len() => {
-                            protocol::render_delta(prev, &report)
-                        }
-                        _ => report.to_json(),
-                    }
+                    protocol::render_delta(&state.last_report, &report)
                 };
-                state.last_report = Some(report);
+                state.last_report = report;
                 Response::json(200, body)
             }
             Err(resp) => {
@@ -1443,9 +1441,10 @@ impl Server {
             persist: persist_stats,
         });
         // Re-publish the recovered sessions before any thread can serve:
-        // each one is evaluated eagerly so its `last_report` baseline —
-        // and therefore its next delta response — is bitwise what the
-        // never-crashed server would have answered. Insertion order is
+        // each one is evaluated eagerly, because a session holds the
+        // report its next delta response is computed against — so that
+        // response is bitwise what the never-crashed server would have
+        // answered. Insertion order is
         // the journal's touch order, so LRU recency survives too (and an
         // over-quota recovery evicts the *stalest* sessions, journaling
         // their tombstones through the hook like any other eviction).
@@ -1461,7 +1460,7 @@ impl Server {
                             Arc::new(Session {
                                 state: Mutex::new(SessionState {
                                     spec: session.spec,
-                                    last_report: Some(report),
+                                    last_report: report,
                                 }),
                                 pending: AtomicUsize::new(0),
                             }),

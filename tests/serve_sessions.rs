@@ -12,6 +12,8 @@
 //! * Post-eviction correctness: an engine squeezed to 1-entry caches
 //!   returns byte-identical responses (evictions change cost, never
 //!   results).
+//! * Engine accounting: `/metrics`' solve and scenario hit/miss counters
+//!   add up to the work the returned reports describe.
 
 use proptest::prelude::*;
 use ttsv::serve::client::{trace_power_body, trace_register_body, Client};
@@ -306,6 +308,97 @@ fn tiny_engine_caches_change_cost_never_results() {
     .expect("bind ephemeral port");
     let got = drive_session(&server.addr().to_string(), 0);
     assert_eq!(got, expected, "eviction pressure changed a response");
+    server.shutdown();
+}
+
+/// Reads `/metrics`' engine block: `(solves, scenario_hits +
+/// scenario_misses)`.
+fn engine_counters(client: &mut Client) -> (usize, usize) {
+    let (status, metrics) = client.request("GET", "/metrics", "").expect("metrics");
+    assert_eq!(status, 200, "{metrics}");
+    let doc = serde::json::from_str(&metrics).expect("metrics endpoint emits valid JSON");
+    let engine = doc.get("engine").expect("engine block");
+    let read = |name: &str| {
+        engine
+            .get(name)
+            .and_then(|v| v.as_usize())
+            .unwrap_or_else(|| panic!("engine.{name} in {metrics}"))
+    };
+    (
+        read("solves"),
+        read("scenario_hits") + read("scenario_misses"),
+    )
+}
+
+/// The engine counters account for every report: a 2-tile delta solves
+/// exactly its two new cells, a read solves nothing, and across a
+/// registration, that delta, the read and a whole-plane replacement,
+/// `scenario_hits + scenario_misses` rises by exactly the summed
+/// `distinct_cells` of the returned reports (the hit ratio the
+/// end-to-end benchmark reads rests on this).
+#[test]
+fn engine_counters_account_for_every_returned_report() {
+    let server = Server::start("127.0.0.1:0", ServerConfig::default().with_workers(1))
+        .expect("bind ephemeral port");
+    let mut client = Client::connect(&server.addr().to_string()).expect("connect");
+    let distinct_cells = |json: &str| {
+        serde::json::from_str(json)
+            .expect("valid JSON report")
+            .get("distinct_cells")
+            .and_then(|v| v.as_usize())
+            .expect("distinct_cells field")
+    };
+    let (_, lookups_before) = engine_counters(&mut client);
+
+    let (status, body) = client
+        .request("POST", "/sessions", &trace_register_body(GRID, 0))
+        .expect("register");
+    assert_eq!(status, 201, "{body}");
+    let (id, report) = body
+        .strip_prefix("{\"session\":")
+        .and_then(|rest| rest.split_once(",\"report\":"))
+        .expect("register response envelope");
+    let mut reported = distinct_cells(report.strip_suffix('}').expect("envelope close"));
+
+    // Two tiles set to watt values no tile held: exactly two solves.
+    let (solves, _) = engine_counters(&mut client);
+    let (status, body) = client
+        .request(
+            "POST",
+            &format!("/sessions/{id}/power"),
+            "{\"plane\":0,\"updates\":[[0,0,1.234567],[1,1,2.345678]]}",
+        )
+        .expect("power update");
+    assert_eq!(status, 200, "{body}");
+    reported += distinct_cells(&body);
+    let (after_delta, _) = engine_counters(&mut client);
+    assert_eq!(after_delta - solves, 2, "a 2-tile delta solves 2 cells");
+
+    // A read of the unchanged plan solves nothing.
+    let (status, body) = client
+        .request("GET", &format!("/sessions/{id}"), "")
+        .expect("read session");
+    assert_eq!(status, 200, "{body}");
+    reported += distinct_cells(&body);
+    let (after_read, _) = engine_counters(&mut client);
+    assert_eq!(after_read, after_delta, "a read solves nothing");
+
+    // A whole-plane replacement.
+    let tiles: Vec<String> = (0..GRID * GRID)
+        .map(|t| format!("{}", 0.3 + 0.01 * t as f64))
+        .collect();
+    let (status, body) = client
+        .request(
+            "POST",
+            &format!("/sessions/{id}/power"),
+            &format!("{{\"plane\":1,\"tiles\":[{}]}}", tiles.join(",")),
+        )
+        .expect("plane update");
+    assert_eq!(status, 200, "{body}");
+    reported += distinct_cells(&body);
+
+    let (_, lookups_after) = engine_counters(&mut client);
+    assert_eq!(lookups_after - lookups_before, reported);
     server.shutdown();
 }
 
