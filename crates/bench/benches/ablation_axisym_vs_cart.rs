@@ -1,7 +1,7 @@
 //! Ablation: axisymmetric unit cell vs full 3-D Cartesian on the same
 //! via-in-a-box problem — the cost side of the equal-area-disc substitution
-//! argued in DESIGN.md §3 (the accuracy side is covered by the
-//! `fem_reference` integration test).
+//! argued in the README’s “Where the paper is silent” (the accuracy side
+//! is covered by the `fem_reference` integration test).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -23,7 +23,6 @@
 //! | `case_study` | §IV-E | the 10 mm × 10 mm DRAM-µP stack unit cell |
 //! | `ablation_axisym_vs_cart` | — | FEM axisymmetric vs full Cartesian discretization cost |
 //! | `ablation_fem_mesh` | — | FEM cost vs mesh resolution (coarse → fine) |
-//! | `ablation_mg_reuse` | — | multigrid setup amortization: hierarchy build vs numeric refresh, V-cycle cost, sweep with rebuilt vs pooled hierarchies |
 //! | `floorplan_chip` | §IV-E generalized | full-chip 32×32 power-map evaluation through the batch engine: hotspot vs all-distinct gradient maps, factor-once batched vs per-tile solves, warm cross-call cache, and a warm 2-tile power update on a 24×24 map (via [`hotspot_floorplan`]/[`gradient_floorplan`]) |
 //!
 //! # Machine-readable perf tracking
@@ -31,8 +30,8 @@
 //! `cargo run --release -p ttsv-bench --bin bench_json [-- PATH [--check COMMITTED]]`
 //! times the headline workloads (the fig4 FEM sweep, Model B at deep
 //! segment counts, one coarse axisymmetric FEM solve, the
-//! smoothed-aggregation hierarchy's build/refresh split and V-cycle, the
-//! bounded sweep runner,
+//! smoothed-aggregation hierarchy build and V-cycle, a 3-point
+//! radius sweep on the 3-D Cartesian reference, the bounded sweep runner,
 //! the 32×32 floorplan-engine evaluations including the factor-once
 //! batched path,
 //! and the `ttsv-serve` session server timed over a real loopback socket:
@@ -93,16 +92,15 @@ pub fn block_with_tsi(t_si_um: f64) -> Scenario {
 
 /// A 32×32×32 finite-volume-style SPD box with smoothly varying
 /// conductances and a Dirichlet anchor under the first layer — the
-/// multigrid setup/refresh workload shared by `ablation_mg_reuse` and
-/// `bench_json` (32 768 unknowns). `amp` scales every conductance:
-/// different `amp`, same sparsity pattern.
+/// multigrid build and V-cycle workload of `bench_json` (32 768
+/// unknowns).
 #[must_use]
-pub fn mg_box_matrix(amp: f64) -> ttsv::linalg::CsrMatrix {
+pub fn mg_box_matrix() -> ttsv::linalg::CsrMatrix {
     use ttsv::linalg::CooBuilder;
     let (nx, ny, nz) = (32, 32, 32);
     let n = nx * ny * nz;
     let idx = |x: usize, y: usize, z: usize| x + y * nx + z * nx * ny;
-    let cell = |x: usize, y: usize, z: usize| amp * (1.0 + 0.4 * ((x + 2 * y + 3 * z) % 7) as f64);
+    let cell = |x: usize, y: usize, z: usize| 1.0 + 0.4 * ((x + 2 * y + 3 * z) % 7) as f64;
     let mut coo = CooBuilder::with_capacity(n, n, 7 * n);
     for z in 0..nz {
         for y in 0..ny {

@@ -1,8 +1,9 @@
 //! The [`Floorplan`]: stack geometry + tile maps → per-tile unit cells.
 //!
 //! Each tile of the `nx × ny` grid is treated exactly like the §IV-E
-//! chip, shrunk to the tile (DESIGN.md §3): its via density `d` defines a
-//! per-via cell area `A_cell = n π r² / (n d) = π r² / d`, the tile holds
+//! chip, shrunk to the tile (README, “Where the paper is silent”): its
+//! via density `d` defines a per-via cell area
+//! `A_cell = n π r² / (n d) = π r² / d`, the tile holds
 //! `A_tile / A_cell` (fractional) such cells with adiabatic side walls,
 //! and the tile's per-plane power splits evenly across them. Tiles with
 //! identical `(density, plane powers)` produce bit-identical scenarios —

@@ -5,8 +5,8 @@
 //! `k₂` scales the liner's *lateral* conductance. The case study (§IV-E)
 //! additionally uses a coefficient `c₁,₂ = 3.5` whose definition the paper
 //! omits; we interpret it as an extra lateral-spreading factor on the
-//! non-top planes (see DESIGN.md §3) and expose it as
-//! [`FittingCoefficients::lateral_spreading`].
+//! non-top planes (see README, “Where the paper is silent”) and expose it
+//! as [`FittingCoefficients::lateral_spreading`].
 
 use serde::{Deserialize, Serialize};
 

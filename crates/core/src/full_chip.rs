@@ -5,7 +5,8 @@
 //! distributed at 0.5 % area density. With uniform power and uniform via
 //! density the chip tiles into identical unit cells (one via plus its share
 //! of area, adiabatic side walls), so the analysis reduces to a single
-//! [`Scenario`] whose footprint is the per-via cell (DESIGN.md §3).
+//! [`Scenario`] whose footprint is the per-via cell (README, “Where the
+//! paper is silent”).
 
 use serde::{Deserialize, Serialize};
 use ttsv_units::{Area, Length, Power};

@@ -440,7 +440,7 @@ pub enum HeatLoad {
         /// Device (active-layer) volumetric power density.
         device: PowerDensity,
         /// Active-layer thickness (the paper leaves this implicit; see
-        /// DESIGN.md §3).
+        /// README, “Where the paper is silent”).
         device_thickness: Length,
         /// ILD volumetric power density.
         ild: PowerDensity,

@@ -41,7 +41,7 @@ impl PlaneSegments {
 /// first plane and `n` in every other plane — with the split between the
 /// silicon and ILD portions left to the implementation; we split
 /// proportionally to layer thickness, keeping at least one segment per
-/// nonempty layer (see DESIGN.md §5).
+/// nonempty layer (see README, “Where the paper is silent”).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Segmentation {
     per_plane: Vec<PlaneSegments>,

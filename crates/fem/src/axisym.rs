@@ -2,7 +2,8 @@
 //!
 //! The reference solver for every experiment in this reproduction: the
 //! paper's 100 µm × 100 µm unit cell with a central TTSV is mapped onto an
-//! equal-area disc (DESIGN.md §3) and solved here on a cylindrical grid.
+//! equal-area disc (README, “Where the paper is silent”) and solved here
+//! on a cylindrical grid.
 //! The radial discretization uses *exact* cylindrical-shell conductances
 //! (`ln` form), so the thin liner annulus is represented without requiring
 //! sub-micrometre meshing. The system is always solved directly: its

@@ -1,20 +1,21 @@
 //! Full 3-D Cartesian finite-volume heat-conduction solver.
 //!
 //! Used to bound the error of the square-footprint → equal-area-disc mapping
-//! behind the axisymmetric reference (DESIGN.md §3): the same TTSV unit cell
-//! is solved with its true square footprint and a staircase approximation of
-//! the cylindrical via, and compared against
+//! behind the axisymmetric reference (README, “Where the paper is
+//! silent”): the same TTSV unit cell is solved with its true square
+//! footprint and a staircase approximation of the cylindrical via, and
+//! compared against
 //! [`axisym`](crate::axisym::AxisymmetricProblem).
 
-use ttsv_linalg::{BandedMatrix, CooBuilder, IterativeConfig};
+use ttsv_linalg::{solve_pcg, BandedMatrix, CooBuilder, IterativeConfig, MultigridPreconditioner};
 use ttsv_units::{Length, Power, PowerDensity, TemperatureDelta, ThermalConductivity};
 
 use crate::error::FemError;
 use crate::mesh::Axis;
-use crate::solver::{solve_multigrid_pcg, MultigridContext};
 
 /// Widest lexicographic half-bandwidth (`nx·ny`) solved by direct banded
-/// LU; wider boxes take multigrid-PCG.
+/// LU; wider boxes take conjugate gradients preconditioned by a
+/// smoothed-aggregation multigrid V-cycle, built afresh for every solve.
 const DIRECT_MAX_HALF_BANDWIDTH: usize = 64;
 
 /// A steady heat-conduction problem on a `[0,Lx] × [0,Ly] × [0,Lz]` box with
@@ -213,51 +214,28 @@ impl CartesianProblem {
         area / (wi / (2.0 * self.k[i]) + wj / (2.0 * self.k[j]))
     }
 
-    /// The iteration budget and tolerance [`CartesianProblem::solve`]
-    /// uses (callers supplying their own context solve to the same
-    /// target).
-    #[must_use]
-    pub fn default_config(&self) -> IterativeConfig {
+    /// The iteration budget and tolerance of the multigrid-PCG path.
+    fn default_config(&self) -> IterativeConfig {
         IterativeConfig::new(40 * self.cell_count() + 2000, 1e-10)
     }
 
-    /// Solves with the default iteration budget (see
-    /// [`CartesianProblem::solve_with_context`]).
+    /// Solves the finite-volume system: direct banded LU when the
+    /// lexicographic half-bandwidth `nx·ny` is at most 64, otherwise
+    /// conjugate gradients preconditioned by a multigrid hierarchy built
+    /// for this solve alone, so the answer never depends on earlier
+    /// solves.
     ///
     /// # Errors
     ///
     /// Returns [`FemError::Solver`] if CG fails to converge.
     pub fn solve(&self) -> Result<CartesianSolution, FemError> {
-        self.solve_with_context(&self.default_config(), None)
-    }
-
-    /// Solves the finite-volume system: direct banded LU when the
-    /// lexicographic half-bandwidth `nx·ny` is at most 64, otherwise
-    /// multigrid-PCG within `config`, reusing (or populating) the
-    /// hierarchy in `mg` — repeated solves on one box shape skip
-    /// aggregation/Galerkin setup after the first call. The context does
-    /// not change what the solve converges to.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FemError::Solver`] if CG fails to converge within `config`.
-    pub fn solve_with_context(
-        &self,
-        config: &IterativeConfig,
-        mg: Option<&mut MultigridContext>,
-    ) -> Result<CartesianSolution, FemError> {
         let (nx, ny, _) = self.dims();
-        self.solve_by(nx * ny <= DIRECT_MAX_HALF_BANDWIDTH, config, mg)
+        self.solve_by(nx * ny <= DIRECT_MAX_HALF_BANDWIDTH)
     }
 
-    /// [`CartesianProblem::solve_with_context`] with the path given
-    /// (`direct` = banded LU), so the tests can run both on one box.
-    pub(crate) fn solve_by(
-        &self,
-        direct: bool,
-        config: &IterativeConfig,
-        mg: Option<&mut MultigridContext>,
-    ) -> Result<CartesianSolution, FemError> {
+    /// [`CartesianProblem::solve`] with the path given (`direct` = banded
+    /// LU), so the tests can run both on one box.
+    pub(crate) fn solve_by(&self, direct: bool) -> Result<CartesianSolution, FemError> {
         let (nx, ny, nz) = self.dims();
         let n = nx * ny * nz;
         let mut rhs = vec![0.0; n];
@@ -268,7 +246,10 @@ impl CartesianProblem {
         } else {
             let mut coo = CooBuilder::with_capacity(n, n, 7 * n);
             self.assemble(&mut rhs, &mut |i, j, g| coo.add(i, j, g));
-            solve_multigrid_pcg(&coo.to_csr(), &rhs, config, mg)?
+            let a = coo.to_csr();
+            let pre = MultigridPreconditioner::new(&a)?;
+            let report = solve_pcg(&a, &rhs, &pre, &self.default_config())?;
+            (report.solution, report.iterations)
         };
         Ok(CartesianSolution {
             problem: self.clone(),
@@ -510,13 +491,8 @@ mod tests {
             (um(25.0), um(30.0)),
             wmm3(40.0),
         );
-        let config = prob.default_config();
-        let reference = prob
-            .solve_by(true, &config, None)
-            .unwrap()
-            .max_temperature()
-            .as_kelvin();
-        let solution = prob.solve_by(false, &config, None).unwrap();
+        let reference = prob.solve_by(true).unwrap().max_temperature().as_kelvin();
+        let solution = prob.solve_by(false).unwrap();
         assert!(solution.iterations() > 0, "the multigrid leg must iterate");
         let got = solution.max_temperature().as_kelvin();
         assert!(

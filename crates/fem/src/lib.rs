@@ -4,7 +4,8 @@
 //!
 //! The paper scores its analytical models against COMSOL Multiphysics.
 //! COMSOL is proprietary, so this crate implements the same physics from
-//! scratch (see DESIGN.md §3 for the substitution argument):
+//! scratch (the substitution is argued in the README, “Where the paper is
+//! silent”):
 //!
 //! * the steady heat equation `∇·(k ∇T) = −q` with Dirichlet bottom
 //!   (heat sink) and adiabatic side/top boundaries,
@@ -21,8 +22,9 @@
 //! Each geometry has one solver, chosen by the code: the slab and the
 //! axisymmetric cell factor directly (tridiagonal and banded LU); the
 //! Cartesian box uses banded LU while its half-bandwidth `nx·ny` is at
-//! most 64 and smoothed-aggregation multigrid-PCG beyond that, pooling
-//! hierarchies through a [`MultigridContext`].
+//! most 64 and smoothed-aggregation multigrid-PCG beyond that, building
+//! one multigrid hierarchy per solve. No solver keeps state between
+//! solves, so every answer depends only on its own problem.
 //!
 //! # Examples
 //!
@@ -62,11 +64,6 @@ pub mod cartesian;
 mod error;
 mod mesh;
 pub mod slab1d;
-mod solver;
 
 pub use error::FemError;
 pub use mesh::Axis;
-pub use solver::MultigridContext;
-// Re-exported so callers can park reusable hierarchies without a
-// ttsv-linalg import.
-pub use ttsv_linalg::MultigridHierarchy;

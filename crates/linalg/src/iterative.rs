@@ -54,43 +54,6 @@ pub struct SolveReport {
     pub residual_norm: f64,
 }
 
-/// Convergence telemetry of an in-place solve ([`solve_pcg_into`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SolveStats {
-    /// Iterations actually performed.
-    pub iterations: usize,
-    /// Final residual 2-norm `‖b − A·x‖₂`.
-    pub residual_norm: f64,
-}
-
-/// Reusable scratch buffers for [`solve_pcg_into`].
-///
-/// The PCG inner loop needs four work vectors; keeping them in a workspace
-/// lets repeated solves (parameter sweeps) run without per-solve
-/// allocation.
-#[derive(Debug, Clone, Default)]
-pub struct PcgWorkspace {
-    r: Vec<f64>,
-    z: Vec<f64>,
-    p: Vec<f64>,
-    ap: Vec<f64>,
-}
-
-impl PcgWorkspace {
-    /// Creates an empty workspace; buffers grow on first use.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn prepare(&mut self, n: usize) {
-        for buf in [&mut self.r, &mut self.z, &mut self.p, &mut self.ap] {
-            buf.clear();
-            buf.resize(n, 0.0);
-        }
-    }
-}
-
 fn check_system(a: &CsrMatrix, b: &[f64]) -> Result<(), LinalgError> {
     if a.rows() != a.cols() {
         return Err(LinalgError::InvalidInput {
@@ -140,84 +103,38 @@ pub fn solve_pcg<P: Preconditioner + ?Sized>(
     m: &P,
     config: &IterativeConfig,
 ) -> Result<SolveReport, LinalgError> {
-    let mut x = vec![0.0; b.len()];
-    let mut workspace = PcgWorkspace::new();
-    let stats = solve_pcg_into(a, b, m, config, &mut x, &mut workspace)?;
-    Ok(SolveReport {
-        solution: x,
-        iterations: stats.iterations,
-        residual_norm: stats.residual_norm,
-    })
-}
-
-/// Solves `A·x = b` by preconditioned conjugate gradients in place: `x`
-/// carries the initial guess in (warm start) and the solution out, and all
-/// inner-loop scratch lives in `workspace` so repeated solves allocate
-/// nothing.
-///
-/// Convergence is declared at `‖b − A·x‖₂ ≤ tolerance · ‖b‖₂`, the same
-/// target as [`solve_pcg`] — a warm start changes the iteration count, not
-/// the accuracy of the result.
-///
-/// # Errors
-///
-/// * [`LinalgError::InvalidInput`] / [`LinalgError::DimensionMismatch`] for
-///   malformed systems or an `x` of the wrong length.
-/// * [`LinalgError::NotConverged`] if the iteration budget runs out.
-pub fn solve_pcg_into<P: Preconditioner + ?Sized>(
-    a: &CsrMatrix,
-    b: &[f64],
-    m: &P,
-    config: &IterativeConfig,
-    x: &mut [f64],
-    workspace: &mut PcgWorkspace,
-) -> Result<SolveStats, LinalgError> {
     check_system(a, b)?;
-    if x.len() != b.len() {
-        return Err(LinalgError::DimensionMismatch {
-            operation: "pcg initial guess",
-            expected: b.len(),
-            actual: x.len(),
-        });
-    }
     let n = b.len();
+    let mut x = vec![0.0; n];
     let b_norm = norm2(b);
     if b_norm == 0.0 {
-        x.fill(0.0);
-        return Ok(SolveStats {
+        return Ok(SolveReport {
+            solution: x,
             iterations: 0,
             residual_norm: 0.0,
         });
     }
     let target = config.relative_tolerance * b_norm;
 
-    workspace.prepare(n);
-    let PcgWorkspace { r, z, p, ap } = workspace;
-
-    // r = b − A·x (honours the warm start; the all-zero guess of a cold
-    // start skips the matvec entirely — an O(n) check vs an O(nnz) pass).
-    if x.iter().all(|&v| v == 0.0) {
-        r.copy_from_slice(b);
-    } else {
-        a.matvec_into(x, r);
-        for i in 0..n {
-            r[i] = b[i] - r[i];
-        }
-    }
-    m.apply(r, z);
-    p.copy_from_slice(z);
-    let mut rz = dot(r, z);
+    // x starts at zero, so the initial residual is b itself.
+    let mut r = b.to_vec();
+    let mut z = vec![0.0; n];
+    let mut ap = vec![0.0; n];
+    m.apply(&r, &mut z);
+    let mut p = z.clone();
+    let mut rz = dot(&r, &z);
 
     for iter in 0..config.max_iterations {
-        let r_norm = norm2(r);
+        let r_norm = norm2(&r);
         if r_norm <= target {
-            return Ok(SolveStats {
+            return Ok(SolveReport {
+                solution: x,
                 iterations: iter,
                 residual_norm: r_norm,
             });
         }
-        a.matvec_into(p, ap);
-        let pap = dot(p, ap);
+        a.matvec_into(&p, &mut ap);
+        let pap = dot(&p, &ap);
         if pap <= 0.0 {
             return Err(LinalgError::InvalidInput {
                 reason: format!(
@@ -226,10 +143,10 @@ pub fn solve_pcg_into<P: Preconditioner + ?Sized>(
             });
         }
         let alpha = rz / pap;
-        axpy(alpha, p, x);
-        axpy(-alpha, ap, r);
-        m.apply(r, z);
-        let rz_next = dot(r, z);
+        axpy(alpha, &p, &mut x);
+        axpy(-alpha, &ap, &mut r);
+        m.apply(&r, &mut z);
+        let rz_next = dot(&r, &z);
         let beta = rz_next / rz;
         rz = rz_next;
         for i in 0..n {
@@ -237,9 +154,10 @@ pub fn solve_pcg_into<P: Preconditioner + ?Sized>(
         }
     }
 
-    let residual = norm2(r);
+    let residual = norm2(&r);
     if residual <= target {
-        Ok(SolveStats {
+        Ok(SolveReport {
+            solution: x,
             iterations: config.max_iterations,
             residual_norm: residual,
         })
@@ -310,66 +228,6 @@ mod tests {
         for (x, y) in plain.solution.iter().zip(&mg.solution) {
             assert!((x - y).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn warm_start_from_exact_solution_converges_immediately() {
-        let n = 40;
-        let a = poisson(n);
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin()).collect();
-        let cfg = IterativeConfig::default();
-        let cold = solve_cg(&a, &b, &cfg).unwrap();
-        let mut x = cold.solution.clone();
-        let mut ws = PcgWorkspace::new();
-        let stats = solve_pcg_into(&a, &b, &IdentityPreconditioner, &cfg, &mut x, &mut ws).unwrap();
-        assert_eq!(stats.iterations, 0, "exact guess should short-circuit");
-        for (w, c) in x.iter().zip(&cold.solution) {
-            assert!((w - c).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn warm_start_never_degrades_accuracy() {
-        // A deliberately bad guess must still converge to the same target.
-        let n = 60;
-        let a = poisson(n);
-        let b = vec![1.0; n];
-        let cfg = IterativeConfig::default();
-        let mut x = vec![1e6; n];
-        let mut ws = PcgWorkspace::new();
-        let stats = solve_pcg_into(&a, &b, &IdentityPreconditioner, &cfg, &mut x, &mut ws).unwrap();
-        assert!(stats.residual_norm <= cfg.relative_tolerance * norm2(&b));
-        assert!(a.residual_norm(&x, &b).unwrap() < 1e-8);
-    }
-
-    #[test]
-    fn workspace_is_reusable_across_sizes() {
-        let mut ws = PcgWorkspace::new();
-        let cfg = IterativeConfig::default();
-        for n in [10, 50, 25] {
-            let a = poisson(n);
-            let b = vec![1.0; n];
-            let mut x = vec![0.0; n];
-            solve_pcg_into(&a, &b, &IdentityPreconditioner, &cfg, &mut x, &mut ws).unwrap();
-            assert!(a.residual_norm(&x, &b).unwrap() < 1e-8);
-        }
-    }
-
-    #[test]
-    fn wrong_guess_length_is_rejected() {
-        let a = poisson(5);
-        let mut x = vec![0.0; 4];
-        let mut ws = PcgWorkspace::new();
-        let err = solve_pcg_into(
-            &a,
-            &[1.0; 5],
-            &IdentityPreconditioner,
-            &IterativeConfig::default(),
-            &mut x,
-            &mut ws,
-        )
-        .unwrap_err();
-        assert!(matches!(err, LinalgError::DimensionMismatch { .. }));
     }
 
     #[test]

@@ -11,11 +11,11 @@
 //!   [`BlockTridiagonal`] (2×2 block Thomas) — Model B's π-segment ladders
 //!   are banded SPD systems, solved `O(n)` by the dedicated block kernel.
 //! * [`CsrMatrix`] sparse storage with [conjugate-gradient](solve_cg)
-//!   solvers ([allocation-free and warm-startable](solve_pcg_into) via
-//!   [`PcgWorkspace`]) and a smoothed-aggregation
+//!   solvers and a smoothed-aggregation
 //!   [multigrid](MultigridPreconditioner) V-cycle preconditioner for the
-//!   structured finite-volume grids — the reference solver's iterative
-//!   path.
+//!   structured finite-volume grids — the 3-D reference solver's
+//!   iterative path. Each preconditioner is built for one matrix and
+//!   carries no state from one solve to the next.
 //! * Derivative-free optimizers ([`nelder_mead`], [`golden_section`]) — the
 //!   k₁/k₂ fitting-coefficient calibration.
 //!
@@ -53,11 +53,9 @@ pub use banded::{BandedLu, BandedMatrix};
 pub use block_tridiag::{BlockTridiagonal, BlockTridiagonalLu};
 pub use dense::DenseMatrix;
 pub use error::LinalgError;
-pub use iterative::{
-    solve_cg, solve_pcg, solve_pcg_into, IterativeConfig, PcgWorkspace, SolveReport, SolveStats,
-};
+pub use iterative::{solve_cg, solve_pcg, IterativeConfig, SolveReport};
 pub use lu::LuDecomposition;
-pub use multigrid::{MultigridHierarchy, MultigridPreconditioner};
+pub use multigrid::MultigridPreconditioner;
 pub use optimize::{
     golden_section, nelder_mead, GoldenSectionResult, NelderMeadConfig, NelderMeadResult,
 };

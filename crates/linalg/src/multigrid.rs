@@ -22,24 +22,9 @@
 //! with `θ = 0.25`, `ω = 0.7`, `ω_P = 2/3`, at most 12 levels and a
 //! coarsest level of at most 48 unknowns.
 //!
-//! # Setup amortization
-//!
-//! The expensive part of smoothed aggregation is the *pattern* work:
-//! strength classification, aggregation, prolongator/Galerkin sparsity
-//! discovery, and the transpose adjacency. All of it depends only on the
-//! sparsity pattern plus the build-time strength classification, so it
-//! lives in a reusable [`MultigridHierarchy`]. When the matrix values
-//! change but the pattern does not (parameter sweeps over one mesh),
-//! [`MultigridHierarchy::refresh`] re-computes only
-//! the numeric content — prolongator weights, Galerkin triple products on
-//! the fixed sparsity, Jacobi diagonals, and the coarsest dense
-//! factorization — without re-aggregating anything.
-//! The triple products themselves run over per-level *flat contraction
-//! lists* frozen at build time: every stored value of `T = A·P` and
-//! `A_c = Pᵀ·T` carries the flat index pairs into its source value arrays,
-//! so a refresh is a set of branch-free multiply-add sweeps (threaded past
-//! 2¹⁶ pairs) instead of hashed scatter accumulation — same bits, a
-//! fraction of the time.
+//! Every [`MultigridPreconditioner`] builds its hierarchy from the one
+//! matrix it is given and keeps nothing between solves, so a solve's
+//! result depends only on its own matrix and right-hand side.
 //!
 //! On the finest level the smoothing sweeps and residual computations are
 //! row-chunked across scoped threads once the grid passes 2¹⁶ unknowns;
@@ -76,8 +61,7 @@ const PROLONGATOR_WEIGHT: f64 = 2.0 / 3.0;
 const STRENGTH_THRESHOLD: f64 = 0.25;
 
 /// Finest-level unknown count at which smoothing/residual sweeps start
-/// running on scoped worker threads (the same threshold gates the flat
-/// Galerkin refresh sweeps, by pair count). Each sweep spawns its own
+/// running on scoped worker threads. Each sweep spawns its own
 /// scoped threads, so threading only pays once per-sweep work dwarfs the
 /// spawn cost — measured break-even is ≈3·10⁴ unknowns on an 8-core box.
 const PARALLEL_THRESHOLD: usize = 65_536;
@@ -226,9 +210,7 @@ fn row_max_offdiag(a: &CsrMatrix) -> Vec<f64> {
 }
 
 /// Per-stored-entry strength classification: entry `e = (i, j)` is strong
-/// when `j ≠ i` and `|a_ij| ≥ θ·max_{k≠i}|a_ik|`. Computed once at build
-/// time and reused verbatim by every numeric refresh so the prolongator
-/// pattern stays fixed.
+/// when `j ≠ i` and `|a_ij| ≥ θ·max_{k≠i}|a_ik|`.
 fn strong_connections(a: &CsrMatrix, theta: f64) -> Vec<bool> {
     let row_max = row_max_offdiag(a);
     let mut strong = vec![false; a.values().len()];
@@ -344,8 +326,6 @@ fn aggregate(a: &CsrMatrix, strong: &[bool]) -> (Vec<usize>, usize) {
 /// Builds the smoothed prolongator `P = (I − ω_P·D⁻¹·A_F)·P_tent`, where
 /// `A_F` is the strength-filtered operator (weak off-diagonals lumped onto
 /// the diagonal — the standard stabilization for anisotropic problems).
-/// The values match [`ProlongatorRefresh::refresh`] bit for bit: both
-/// accumulate each slot in row-traversal order.
 fn build_prolongator(
     a: &CsrMatrix,
     strong: &[bool],
@@ -385,110 +365,6 @@ fn build_prolongator(
     }
 }
 
-/// Flat refresh data for the smoothed prolongator, frozen at build time:
-/// every stored `P` value knows the strong `A`-entry sources that feed it
-/// (in row-traversal order), every fine row knows its weak/diagonal
-/// sources (the lumped term) and which `P` slot is its `agg[i]` entry —
-/// so a refresh is gather–multiply–add sweeps with no scatter row and no
-/// per-entry strength branch.
-#[derive(Debug, Clone)]
-struct ProlongatorRefresh {
-    /// `ptr[k]..ptr[k + 1]` bounds P value `k`'s strong-source range.
-    ptr: Vec<usize>,
-    /// Flat indices into `a.values()`, per strong source.
-    src: Vec<u32>,
-    /// `lump_ptr[i]..lump_ptr[i + 1]` bounds row `i`'s weak sources
-    /// (diagonal and weak off-diagonals, lumped).
-    lump_ptr: Vec<usize>,
-    /// Flat indices into `a.values()`, per weak source.
-    lump_src: Vec<u32>,
-    /// Per fine row: flat P index of the `agg[i]` (diagonal-slot) entry.
-    diag_slot: Vec<u32>,
-}
-
-impl ProlongatorRefresh {
-    /// Freezes the source lists from the build-time strength/aggregation
-    /// pattern. Every strong connection lands in a stored slot of `P`:
-    /// [`build_prolongator`] scatters each one into its row.
-    fn build(a: &CsrMatrix, strong: &[bool], agg: &[usize], p: &RowMatrix) -> Self {
-        let n = a.rows();
-        let nnz_p = p.val.len();
-        let strong_total = strong.iter().filter(|&&s| s).count();
-        let mut ptr = vec![0usize; nnz_p + 1];
-        let mut src = vec![0u32; strong_total];
-        let mut lump_ptr = vec![0usize; n + 1];
-        let mut lump_src = vec![0u32; strong.len() - strong_total];
-        let mut pos = vec![usize::MAX; p.cols];
-        let mut diag_slot = vec![0u32; n];
-        let mut lump_cursor = 0;
-        // Row-local two-pass (count, then place) — see
-        // `build_t_contraction`.
-        for i in 0..n {
-            let (plo, phi) = (p.row_ptr[i], p.row_ptr[i + 1]);
-            for k in plo..phi {
-                pos[p.col[k]] = k;
-            }
-            diag_slot[i] = contraction_index(pos[agg[i]]);
-            let (lo, hi) = a.row_range(i);
-            for e in lo..hi {
-                if strong[e] {
-                    ptr[pos[agg[a.col_indices()[e]]] + 1] += 1;
-                }
-            }
-            for k in plo..phi {
-                ptr[k + 1] += ptr[k];
-            }
-            for e in lo..hi {
-                if strong[e] {
-                    let dst = pos[agg[a.col_indices()[e]]];
-                    src[ptr[dst]] = contraction_index(e);
-                    ptr[dst] += 1;
-                } else {
-                    lump_src[lump_cursor] = contraction_index(e);
-                    lump_cursor += 1;
-                }
-            }
-            lump_ptr[i + 1] = lump_cursor;
-        }
-        for k in (1..=nnz_p).rev() {
-            ptr[k] = ptr[k - 1];
-        }
-        ptr[0] = 0;
-        Self {
-            ptr,
-            src,
-            lump_ptr,
-            lump_src,
-            diag_slot,
-        }
-    }
-
-    /// Re-computes the prolongator values on the fixed pattern — the same
-    /// per-slot accumulation order (and therefore the same bits) as the
-    /// scatter-based [`build_prolongator`] numeric path, so refresh and
-    /// build agree bit for bit.
-    fn refresh(&self, a_vals: &[f64], inv_diag: &[f64], p: &mut RowMatrix) {
-        for (i, &inv) in inv_diag.iter().enumerate() {
-            let neg = -PROLONGATOR_WEIGHT * inv;
-            let (plo, phi) = (p.row_ptr[i], p.row_ptr[i + 1]);
-            for k in plo..phi {
-                let (lo, hi) = (self.ptr[k], self.ptr[k + 1]);
-                let mut acc = 0.0;
-                for &e in &self.src[lo..hi] {
-                    acc += neg * a_vals[e as usize];
-                }
-                p.val[k] = acc;
-            }
-            let (llo, lhi) = (self.lump_ptr[i], self.lump_ptr[i + 1]);
-            let mut lumped_diag = 0.0;
-            for &e in &self.lump_src[llo..lhi] {
-                lumped_diag += a_vals[e as usize];
-            }
-            p.val[self.diag_slot[i] as usize] += 1.0 - PROLONGATOR_WEIGHT * inv * lumped_diag;
-        }
-    }
-}
-
 /// Builds `T = A·P` (pattern and values) row by row.
 fn build_t(a: &CsrMatrix, p: &RowMatrix) -> RowMatrix {
     let n = a.rows();
@@ -513,274 +389,27 @@ fn build_t(a: &CsrMatrix, p: &RowMatrix) -> RowMatrix {
     t
 }
 
-/// A frozen contraction list for one sparse product: for every stored
-/// value of the destination matrix, the flat indices of the source-value
-/// pairs whose products accumulate into it, in exactly the order the
-/// scatter-based build visits them. Numeric refresh of the Galerkin triple
-/// product then needs no column hashing and no dense scatter row — each
-/// output entry is an independent multiply-add reduction
-/// `out[k] = Σ_q a_vals[src_a[q]] · b_vals[src_b[q]]`, so the sweep
-/// row-chunks across scoped threads without changing a single bit.
-#[derive(Debug, Clone)]
-struct ContractionList {
-    /// `ptr[k]..ptr[k + 1]` bounds entry `k`'s pair range.
-    ptr: Vec<usize>,
-    /// Flat index into the left source's value array, per pair.
-    src_a: Vec<u32>,
-    /// Flat index into the right source's value array, per pair.
-    src_b: Vec<u32>,
-    /// Total pairs across the list.
-    pair_count: usize,
-}
-
-impl ContractionList {
-    /// Total source pairs (the sweep's work measure, used to decide
-    /// whether threading pays).
-    fn pairs(&self) -> usize {
-        self.pair_count
-    }
-
-    /// Recomputes every destination value from the frozen pair lists.
-    /// Contributions to one entry run in list order, so the output is
-    /// identical bit for bit regardless of `threads`; entries with an
-    /// empty pair range (the mirrored lower triangle of a symmetric
-    /// product) come out as `0.0` and are filled by the caller's mirror
-    /// pass. The pair slices iterate by `zip` so the index streams stay
-    /// bounds-check-free — only the two value gathers are checked.
-    fn contract(&self, a_vals: &[f64], b_vals: &[f64], out: &mut [f64], threads: usize) {
-        let (ptr, src_a, src_b) = (&self.ptr, &self.src_a, &self.src_b);
-        par_rows(out, threads, |start, chunk| {
-            for (k, o) in chunk.iter_mut().enumerate() {
-                let e = start + k;
-                let (lo, hi) = (ptr[e], ptr[e + 1]);
-                let mut acc = 0.0;
-                for (&ia, &ib) in src_a[lo..hi].iter().zip(&src_b[lo..hi]) {
-                    acc += a_vals[ia as usize] * b_vals[ib as usize];
-                }
-                *o = acc;
-            }
-        });
-    }
-}
-
-/// Asserts the flat-index domain fits the `u32` contraction storage (a
-/// level would need > 4·10⁹ stored values to overflow — far beyond
-/// anything the dense-coarsest guard admits).
-fn contraction_index(k: usize) -> u32 {
-    u32::try_from(k).expect("contraction source index exceeds u32 — matrix is implausibly large")
-}
-
-/// Freezes the contraction list of `T = A·P` on its discovered pattern:
-/// pair `(e, kp)` with `col(e) = j` contributes `a[e]·p[kp]` to
-/// `T[i, p.col[kp]]`. The two-pass build (count, then place) keeps pairs
-/// grouped by destination in traversal order.
-fn build_t_contraction(a: &CsrMatrix, p: &RowMatrix, t: &RowMatrix) -> ContractionList {
-    let nnz = t.val.len();
-    let total_pairs: usize = (0..a.rows())
-        .map(|i| {
-            let (lo, hi) = a.row_range(i);
-            (lo..hi)
-                .map(|e| {
-                    let j = a.col_indices()[e];
-                    p.row_ptr[j + 1] - p.row_ptr[j]
-                })
-                .sum::<usize>()
-        })
-        .sum();
-    let mut ptr = vec![0usize; nnz + 1];
-    let mut src_a = vec![0u32; total_pairs];
-    let mut src_b = vec![0u32; total_pairs];
-    let mut pos = vec![usize::MAX; p.cols];
-    // Row-local two-pass (count, then place): destinations are grouped per
-    // row, so `ptr` grows in order and both passes hit cache-hot row data.
-    for i in 0..a.rows() {
-        let (tlo, thi) = (t.row_ptr[i], t.row_ptr[i + 1]);
-        for k in tlo..thi {
-            pos[t.col[k]] = k;
-        }
-        let (lo, hi) = a.row_range(i);
-        for e in lo..hi {
-            let j = a.col_indices()[e];
-            for kp in p.row_ptr[j]..p.row_ptr[j + 1] {
-                ptr[pos[p.col[kp]] + 1] += 1;
-            }
-        }
-        for k in tlo..thi {
-            ptr[k + 1] += ptr[k];
-        }
-        for e in lo..hi {
-            let j = a.col_indices()[e];
-            for kp in p.row_ptr[j]..p.row_ptr[j + 1] {
-                let dst = pos[p.col[kp]];
-                src_a[ptr[dst]] = contraction_index(e);
-                src_b[ptr[dst]] = contraction_index(kp);
-                ptr[dst] += 1;
-            }
-        }
-    }
-    // The place pass advanced each `ptr[k]` to its range end; shift back.
-    for k in (1..=nnz).rev() {
-        ptr[k] = ptr[k - 1];
-    }
-    ptr[0] = 0;
-    ContractionList {
-        ptr,
-        src_a,
-        src_b,
-        pair_count: total_pairs,
-    }
-}
-
-/// Freezes the contraction list of `A_c = Pᵀ·T`: pair `(pt_idx[k], kt)`
-/// over coarse row `c` contributes `p[pt_idx[k]]·t[kt]` to
-/// `A_c[c, t.col[kt]]`, in the transpose-adjacency order the scatter
-/// kernel walks.
-///
-/// The Galerkin operator is exactly symmetric (SPD `A`, restriction =
-/// prolongation transpose), so only the upper triangle (`cj ≥ c`) gets
-/// pair lists — roughly halving the sweep — and the returned
-/// `(lower, upper)` mirror pairs copy the strictly-lower entries from
-/// their transposes afterwards. [`MultigridHierarchy::build`] runs the
-/// same contract-and-mirror path, so build and refresh stay bit-identical.
-fn build_coarse_contraction(
-    t: &RowMatrix,
-    pt_ptr: &[usize],
-    pt_row: &[usize],
-    pt_idx: &[usize],
-    coarse: &CsrMatrix,
-) -> ContractionList {
-    let nnz = coarse.values().len();
-    let total_pairs: usize = (0..coarse.rows())
-        .map(|c| {
-            (pt_ptr[c]..pt_ptr[c + 1])
-                .map(|k| {
-                    let i = pt_row[k];
-                    (t.row_ptr[i]..t.row_ptr[i + 1])
-                        .filter(|&kt| t.col[kt] >= c)
-                        .count()
-                })
-                .sum::<usize>()
-        })
-        .sum();
-    let mut ptr = vec![0usize; nnz + 1];
-    let mut src_a = vec![0u32; total_pairs];
-    let mut src_b = vec![0u32; total_pairs];
-    let mut pos = vec![usize::MAX; coarse.cols()];
-    // Row-local two-pass (count, then place) — see `build_t_contraction`.
-    for c in 0..coarse.rows() {
-        let (clo, chi) = coarse.row_range(c);
-        for e in clo..chi {
-            pos[coarse.col_indices()[e]] = e;
-        }
-        for k in pt_ptr[c]..pt_ptr[c + 1] {
-            let i = pt_row[k];
-            for kt in t.row_ptr[i]..t.row_ptr[i + 1] {
-                if t.col[kt] >= c {
-                    ptr[pos[t.col[kt]] + 1] += 1;
-                }
-            }
-        }
-        for e in clo..chi {
-            ptr[e + 1] += ptr[e];
-        }
-        for k in pt_ptr[c]..pt_ptr[c + 1] {
-            let i = pt_row[k];
-            let p_src = contraction_index(pt_idx[k]);
-            for kt in t.row_ptr[i]..t.row_ptr[i + 1] {
-                let cj = t.col[kt];
-                if cj >= c {
-                    let dst = pos[cj];
-                    src_a[ptr[dst]] = p_src;
-                    src_b[ptr[dst]] = contraction_index(kt);
-                    ptr[dst] += 1;
-                }
-            }
-        }
-    }
-    for k in (1..=nnz).rev() {
-        ptr[k] = ptr[k - 1];
-    }
-    ptr[0] = 0;
-    ContractionList {
-        ptr,
-        src_a,
-        src_b,
-        pair_count: total_pairs,
-    }
-}
-
-/// `(lower, upper)` flat-index pairs of the structurally symmetric
-/// Galerkin pattern: every strictly-lower entry paired with its
-/// transpose, so [`apply_mirror`] can copy the contracted upper triangle
-/// down.
-fn mirror_pairs(coarse: &CsrMatrix) -> Vec<(u32, u32)> {
-    let mut mirror = Vec::new();
+/// Overwrites every strictly-lower entry of the structurally symmetric
+/// Galerkin operator with its transpose (an upper-triangle value, which
+/// this pass never writes).
+fn mirror_upper_triangle(coarse: &mut CsrMatrix) {
     for c in 0..coarse.rows() {
         let (clo, chi) = coarse.row_range(c);
         for e in clo..chi {
             let cj = coarse.col_indices()[e];
             if cj < c {
-                // Locate the transpose entry (cj, c) — the pattern is
-                // structurally symmetric, so it exists.
                 let (mlo, mhi) = coarse.row_range(cj);
-                let cols = &coarse.col_indices()[mlo..mhi];
-                let off = cols
+                let off = coarse.col_indices()[mlo..mhi]
                     .binary_search(&c)
                     .expect("Galerkin pattern must be structurally symmetric");
-                mirror.push((contraction_index(e), contraction_index(mlo + off)));
+                coarse.values_mut()[e] = coarse.values()[mlo + off];
             }
         }
     }
-    mirror
-}
-
-/// Copies every strictly-lower Galerkin entry from its transpose (the
-/// upper-triangle value the contraction sweep just produced).
-fn apply_mirror(mirror: &[(u32, u32)], vals: &mut [f64]) {
-    for &(lower, upper) in mirror {
-        vals[lower as usize] = vals[upper as usize];
-    }
-}
-
-/// Flat indices of each row's diagonal entry, frozen at build time so a
-/// refresh reads the Jacobi diagonal with one gather instead of a row
-/// scan.
-fn diagonal_indices(a: &CsrMatrix) -> Vec<u32> {
-    (0..a.rows())
-        .map(|i| {
-            let (lo, hi) = a.row_range(i);
-            let cols = &a.col_indices()[lo..hi];
-            let off = cols
-                .binary_search(&i)
-                .expect("multigrid operators store their diagonal");
-            contraction_index(lo + off)
-        })
-        .collect()
-}
-
-/// Refreshes `inv_diag` in place through the frozen diagonal indices —
-/// the same `1.0 / d` per row as [`jacobi_inverse_diagonal`], minus the
-/// row scans and allocations.
-fn refresh_inverse_diagonal(
-    a_vals: &[f64],
-    diag_idx: &[u32],
-    inv_diag: &mut [f64],
-) -> Result<(), LinalgError> {
-    for (inv, &e) in inv_diag.iter_mut().zip(diag_idx) {
-        let d = a_vals[e as usize];
-        if d == 0.0 {
-            return Err(LinalgError::InvalidInput {
-                reason: "multigrid smoothing requires a nonzero diagonal".to_string(),
-            });
-        }
-        *inv = 1.0 / d;
-    }
-    Ok(())
 }
 
 /// Transpose adjacency of `P`: for every coarse column `c`, the fine rows
-/// that reference it and the index of the corresponding stored value —
-/// so refreshed `P` values are read through the same adjacency.
+/// that reference it and the index of the corresponding stored value.
 fn transpose_adjacency(p: &RowMatrix, n_rows: usize) -> (Vec<usize>, Vec<usize>, Vec<usize>) {
     let nc = p.cols;
     let mut pt_ptr = vec![0usize; nc + 1];
@@ -846,41 +475,13 @@ fn jacobi_inverse_diagonal(a: &CsrMatrix) -> Result<Vec<f64>, LinalgError> {
 // Hierarchy
 // ---------------------------------------------------------------------------
 
-/// One level's flat refresh lists, frozen on its first refresh (build
-/// defers them — rebuild-only callers never pay for refresh machinery).
-#[derive(Debug, Clone)]
-struct RefreshLists {
-    /// Prolongator sources per stored `P` value.
-    p: ProlongatorRefresh,
-    /// Contraction list of `T = A·P` (pairs into `a.values`/`p.val`).
-    t: ContractionList,
-    /// Contraction list of `A_c = Pᵀ·T` (pairs into `p.val`/`t.val`),
-    /// upper triangle only.
-    coarse: ContractionList,
-}
-
-/// One fine level of the hierarchy: its operator, smoother data, the
-/// build-time aggregation/strength pattern, and the fixed-sparsity
-/// intermediates (`P`, `T = A·P`, and the flat refresh lists of both
-/// Galerkin products) that make numeric refreshes cheap.
+/// One fine level of the hierarchy: its operator, the smoother's inverse
+/// diagonal, and the smoothed prolongator to the next coarser level.
 #[derive(Debug, Clone)]
 struct Level {
     a: CsrMatrix,
     inv_diag: Vec<f64>,
-    /// Strength classification per stored entry of `a`, frozen at build
-    /// time (feeds the lazily built prolongator-refresh lists).
-    strong: Vec<bool>,
-    /// Aggregate id per unknown, frozen at build time.
-    agg: Vec<usize>,
-    /// Flat refresh lists; `None` until the first refresh needs them.
-    refresh: Option<RefreshLists>,
     p: RowMatrix,
-    t: RowMatrix,
-    /// `(lower, upper)` flat-index pairs mirroring the Galerkin upper
-    /// triangle onto the strictly-lower entries.
-    coarse_mirror: Vec<(u32, u32)>,
-    /// Flat index of each row's diagonal entry in `a`.
-    diag_idx: Vec<u32>,
 }
 
 /// Per-level work vectors, reused across V-cycles.
@@ -908,90 +509,21 @@ impl Scratch {
     }
 }
 
-/// The reusable setup of a smoothed-aggregation multigrid V-cycle:
-/// aggregates, smoothed prolongators, Galerkin coarse operators, Jacobi
-/// diagonals, and the coarsest dense factorization, keyed to one sparsity
-/// pattern.
-///
-/// Build once per pattern with [`MultigridHierarchy::build`]; when the
-/// matrix values change on the same pattern (a parameter sweep over one
-/// mesh), call [`MultigridHierarchy::refresh`] —
-/// it re-computes only numeric content (prolongator weights, Galerkin
-/// triple products on the fixed sparsity, diagonals, coarsest LU) and
-/// skips aggregation entirely.
-///
-/// The hierarchy is plain data (`Send + Sync`); wrap it in a
-/// [`MultigridPreconditioner`] to apply V-cycles:
-///
-/// ```
-/// use ttsv_linalg::{solve_pcg, CooBuilder, IterativeConfig};
-/// use ttsv_linalg::{MultigridHierarchy, MultigridPreconditioner};
-///
-/// // 1-D Poisson on 96 cells, then a second operator with the same
-/// // pattern but scaled coefficients (a "next sweep point").
-/// let assemble = |k: f64| {
-///     let n = 96;
-///     let mut coo = CooBuilder::new(n, n);
-///     for i in 0..n {
-///         coo.add(i, i, 2.0 * k);
-///         if i + 1 < n {
-///             coo.add(i, i + 1, -k);
-///             coo.add(i + 1, i, -k);
-///         }
-///     }
-///     coo.to_csr()
-/// };
-/// let a1 = assemble(1.0);
-/// let hierarchy = MultigridHierarchy::build(&a1).unwrap();
-/// let mut mg = MultigridPreconditioner::from_hierarchy(hierarchy);
-/// let b = vec![1.0; 96];
-/// let x1 = solve_pcg(&a1, &b, &mg, &IterativeConfig::default()).unwrap();
-///
-/// // Same pattern, new values: numeric refresh instead of a rebuild.
-/// let a2 = assemble(3.5);
-/// assert!(mg.hierarchy().pattern_matches(&a2));
-/// mg.refresh(&a2).unwrap();
-/// let x2 = solve_pcg(&a2, &b, &mg, &IterativeConfig::default()).unwrap();
-/// assert!(a2.residual_norm(&x2.solution, &b).unwrap() < 1e-7);
-/// # let _ = x1;
-/// ```
-#[derive(Debug, Clone)]
-pub struct MultigridHierarchy {
+/// The smoothed-aggregation setup of one matrix: its fine levels, the
+/// coarsest dense factorization, and the finest-level sweep thread count.
+#[derive(Debug)]
+struct Hierarchy {
     levels: Vec<Level>,
-    /// The coarsest Galerkin operator (kept for numeric refreshes).
-    coarse_a: CsrMatrix,
     /// Dense factorization of the coarsest operator.
     coarse: LuDecomposition,
-    /// Work size at which sweeps thread ([`PARALLEL_THRESHOLD`] outside
-    /// the determinism tests).
-    parallel_threshold: usize,
     /// Resolved worker count for finest-level sweeps.
     threads: usize,
 }
 
-impl MultigridHierarchy {
-    /// Builds the full hierarchy (pattern + numeric content) for the SPD
-    /// matrix `a`.
-    ///
-    /// # Errors
-    ///
-    /// * [`LinalgError::InvalidInput`] if `a` is not square, a level has a
-    ///   zero diagonal entry, or the matrix has too few strong connections
-    ///   for aggregation to coarsen it.
-    /// * [`LinalgError::Singular`] if the coarsest operator cannot be
-    ///   factorized.
-    pub fn build(a: &CsrMatrix) -> Result<Self, LinalgError> {
-        Self::build_with_threshold(a, PARALLEL_THRESHOLD)
-    }
-
-    /// [`MultigridHierarchy::build`] with the sweep-threading threshold
-    /// overridden (`1` forces threading, `usize::MAX` forces serial
-    /// sweeps), so the tests can pin threaded and serial V-cycles against
-    /// each other on small matrices.
-    pub(crate) fn build_with_threshold(
-        a: &CsrMatrix,
-        parallel_threshold: usize,
-    ) -> Result<Self, LinalgError> {
+impl Hierarchy {
+    /// Builds the hierarchy for `a`; sweeps thread past
+    /// `parallel_threshold` finest-level unknowns.
+    fn build(a: &CsrMatrix, parallel_threshold: usize) -> Result<Self, LinalgError> {
         if a.rows() != a.cols() {
             return Err(LinalgError::InvalidInput {
                 reason: format!(
@@ -1011,28 +543,19 @@ impl MultigridHierarchy {
                 break; // no reduction left
             }
             let inv_diag = jacobi_inverse_diagonal(&mat)?;
-            // The scatter values already match the flat refresh bit for
-            // bit, so the refresh lists are built lazily on first use.
             let p = build_prolongator(&mat, &strong, &agg, n_agg, &inv_diag);
             let t = build_t(&mat, &p);
             let (pt_ptr, pt_row, pt_idx) = transpose_adjacency(&p, mat.rows());
             let mut coarse_mat = build_coarse(&p, &t, &pt_ptr, &pt_row, &pt_idx);
-            // The numeric refresh only computes the upper Galerkin
-            // triangle and mirrors it down; mirror the built values the
-            // same way so both paths agree bit for bit.
-            let coarse_mirror = mirror_pairs(&coarse_mat);
-            apply_mirror(&coarse_mirror, coarse_mat.values_mut());
-            let diag_idx = diagonal_indices(&mat);
+            // The scatter product sums `A_c[c, cj]` and `A_c[cj, c]` in
+            // different orders, so the two can differ in the last bit;
+            // mirroring makes the coarse operator exactly symmetric, which
+            // keeps the V-cycle a symmetric preconditioner for CG.
+            mirror_upper_triangle(&mut coarse_mat);
             levels.push(Level {
                 a: mat,
                 inv_diag,
-                strong,
-                agg,
-                refresh: None,
                 p,
-                t,
-                coarse_mirror,
-                diag_idx,
             });
             mat = coarse_mat;
         }
@@ -1060,116 +583,13 @@ impl MultigridHierarchy {
 
         Ok(Self {
             levels,
-            coarse_a: mat,
             coarse,
-            parallel_threshold,
             threads,
         })
     }
 
-    /// Numeric-only refresh: re-computes prolongator weights, Galerkin
-    /// coarse values, smoother diagonals, and the coarsest factorization
-    /// for a matrix with the *same sparsity pattern* as the one the
-    /// hierarchy was built from. Aggregation, strength classification, and
-    /// every sparsity pattern are reused unchanged — for identical input
-    /// values the refreshed hierarchy is bit-for-bit the built one.
-    ///
-    /// The Galerkin triple products run over flat contraction lists frozen
-    /// on the first refresh (every output value knows the flat
-    /// source-index pairs that feed it), so the hot sweeps are branch-free
-    /// multiply-add reductions with no column hashing or dense scatter
-    /// rows; once a level's pair count passes 2¹⁶ they row-chunk across
-    /// scoped threads. Both moves leave each output entry's accumulation
-    /// order untouched, so the refreshed values are identical bit for bit
-    /// to the scatter-based ones.
-    ///
-    /// # Errors
-    ///
-    /// * [`LinalgError::InvalidInput`] if the pattern differs (use
-    ///   [`MultigridHierarchy::pattern_matches`] to decide between refresh
-    ///   and rebuild) or a diagonal entry became zero.
-    /// * [`LinalgError::Singular`] if the refreshed coarsest operator
-    ///   cannot be factorized.
-    pub fn refresh(&mut self, a: &CsrMatrix) -> Result<(), LinalgError> {
-        if !self.pattern_matches(a) {
-            return Err(LinalgError::InvalidInput {
-                reason: "multigrid refresh requires the sparsity pattern the hierarchy was \
-                         built from (rebuild instead)"
-                    .to_string(),
-            });
-        }
-        let threshold = self.parallel_threshold;
-
-        if let Some(first) = self.levels.first_mut() {
-            first.a.values_mut().copy_from_slice(a.values());
-        } else {
-            self.coarse_a.values_mut().copy_from_slice(a.values());
-        }
-        for l in 0..self.levels.len() {
-            let (head, tail) = self.levels.split_at_mut(l + 1);
-            let level = &mut head[l];
-            let next_a = match tail.first_mut() {
-                Some(next) => &mut next.a,
-                None => &mut self.coarse_a,
-            };
-            refresh_inverse_diagonal(level.a.values(), &level.diag_idx, &mut level.inv_diag)?;
-            let lists = &*level.refresh.get_or_insert_with(|| {
-                let (pt_ptr, pt_row, pt_idx) = transpose_adjacency(&level.p, level.a.rows());
-                RefreshLists {
-                    p: ProlongatorRefresh::build(&level.a, &level.strong, &level.agg, &level.p),
-                    t: build_t_contraction(&level.a, &level.p, &level.t),
-                    coarse: build_coarse_contraction(&level.t, &pt_ptr, &pt_row, &pt_idx, next_a),
-                }
-            });
-            lists
-                .p
-                .refresh(level.a.values(), &level.inv_diag, &mut level.p);
-            lists.t.contract(
-                level.a.values(),
-                &level.p.val,
-                &mut level.t.val,
-                thread_count(lists.t.pairs(), threshold),
-            );
-            lists.coarse.contract(
-                &level.p.val,
-                &level.t.val,
-                next_a.values_mut(),
-                thread_count(lists.coarse.pairs(), threshold),
-            );
-            apply_mirror(&level.coarse_mirror, next_a.values_mut());
-        }
-        let mat = &self.coarse_a;
-        let coarse_dense = DenseMatrix::from_fn(mat.rows(), mat.rows(), |i, j| mat.get(i, j));
-        self.coarse = coarse_dense.lu()?;
-        Ok(())
-    }
-
-    /// `true` when `a` has exactly the sparsity pattern this hierarchy was
-    /// built from — the precondition for [`MultigridHierarchy::refresh`].
-    #[must_use]
-    pub fn pattern_matches(&self, a: &CsrMatrix) -> bool {
-        match self.levels.first() {
-            Some(level) => level.a.same_pattern(a),
-            None => self.coarse_a.same_pattern(a),
-        }
-    }
-
-    /// Number of levels in the hierarchy (1 = the matrix was small enough
-    /// to factorize directly).
-    #[must_use]
-    pub fn level_count(&self) -> usize {
-        self.levels.len() + 1
-    }
-
-    /// Unknown count of the coarsest (directly factorized) level.
-    #[must_use]
-    pub fn coarsest_unknowns(&self) -> usize {
-        self.coarse.dim()
-    }
-
     /// Unknown count of the finest level.
-    #[must_use]
-    pub fn finest_unknowns(&self) -> usize {
+    fn finest_unknowns(&self) -> usize {
         match self.levels.first() {
             Some(level) => level.a.rows(),
             None => self.coarse.dim(),
@@ -1261,15 +681,17 @@ impl MultigridHierarchy {
 }
 
 // ---------------------------------------------------------------------------
-// Preconditioner wrapper
+// Preconditioner
 // ---------------------------------------------------------------------------
 
 /// A V-cycle of smoothed-aggregation multigrid, applied as a
 /// preconditioner.
 ///
-/// Build once per assembled matrix, then hand to
-/// [`solve_pcg`](crate::solve_pcg) /
-/// [`solve_pcg_into`](crate::solve_pcg_into):
+/// [`MultigridPreconditioner::new`] builds the whole hierarchy —
+/// aggregates, smoothed prolongators, Galerkin coarse operators, Jacobi
+/// diagonals, and the coarsest dense factorization — from the one matrix
+/// it is given. Build one per assembled matrix, then hand it to
+/// [`solve_pcg`](crate::solve_pcg):
 ///
 /// ```
 /// use ttsv_linalg::{solve_pcg, CooBuilder, IterativeConfig};
@@ -1291,74 +713,56 @@ impl MultigridHierarchy {
 /// assert!(a.residual_norm(&report.solution, &vec![1.0; n]).unwrap() < 1e-7);
 /// ```
 ///
-/// The setup lives in a [`MultigridHierarchy`], reusable across matrices
-/// of identical sparsity via [`MultigridPreconditioner::refresh`] (or
-/// recoverable with [`MultigridPreconditioner::into_hierarchy`] to park in
-/// a cache between solves).
-///
 /// Not `Sync`: the per-level scratch is interior-mutable so
 /// [`Preconditioner::apply`] can stay allocation-free. Build one instance
-/// per solving thread, or move the hierarchy between threads (it is
-/// `Send + Sync`) and wrap it locally.
+/// per solving thread.
 #[derive(Debug)]
 pub struct MultigridPreconditioner {
-    hierarchy: MultigridHierarchy,
+    hierarchy: Hierarchy,
     scratch: RefCell<Scratch>,
 }
 
 impl MultigridPreconditioner {
-    /// Builds the hierarchy for the SPD matrix `a` and wraps it.
+    /// Builds the hierarchy for the SPD matrix `a`.
     ///
     /// # Errors
     ///
-    /// See [`MultigridHierarchy::build`].
+    /// * [`LinalgError::InvalidInput`] if `a` is not square, a level has a
+    ///   zero diagonal entry, or the matrix has too few strong connections
+    ///   for aggregation to coarsen it.
+    /// * [`LinalgError::Singular`] if the coarsest operator cannot be
+    ///   factorized.
     pub fn new(a: &CsrMatrix) -> Result<Self, LinalgError> {
-        Ok(Self::from_hierarchy(MultigridHierarchy::build(a)?))
+        Self::with_parallel_threshold(a, PARALLEL_THRESHOLD)
     }
 
-    /// Wraps an existing hierarchy (typically taken from a cache).
-    #[must_use]
-    pub fn from_hierarchy(hierarchy: MultigridHierarchy) -> Self {
-        let scratch = Scratch::for_levels(&hierarchy.levels, hierarchy.coarse_a.rows());
-        Self {
+    /// [`MultigridPreconditioner::new`] with the sweep-threading threshold
+    /// overridden (`1` forces threading, `usize::MAX` forces serial
+    /// sweeps), so the tests can pin threaded and serial V-cycles against
+    /// each other on small matrices.
+    pub(crate) fn with_parallel_threshold(
+        a: &CsrMatrix,
+        parallel_threshold: usize,
+    ) -> Result<Self, LinalgError> {
+        let hierarchy = Hierarchy::build(a, parallel_threshold)?;
+        let scratch = Scratch::for_levels(&hierarchy.levels, hierarchy.coarse.dim());
+        Ok(Self {
             hierarchy,
             scratch: RefCell::new(scratch),
-        }
-    }
-
-    /// Numeric-only refresh for a matrix with the same sparsity pattern —
-    /// see [`MultigridHierarchy::refresh`].
-    ///
-    /// # Errors
-    ///
-    /// See [`MultigridHierarchy::refresh`].
-    pub fn refresh(&mut self, a: &CsrMatrix) -> Result<(), LinalgError> {
-        self.hierarchy.refresh(a)
-    }
-
-    /// The wrapped hierarchy.
-    #[must_use]
-    pub fn hierarchy(&self) -> &MultigridHierarchy {
-        &self.hierarchy
-    }
-
-    /// Unwraps into the reusable hierarchy (to park in a cache).
-    #[must_use]
-    pub fn into_hierarchy(self) -> MultigridHierarchy {
-        self.hierarchy
+        })
     }
 
     /// Number of levels in the hierarchy (1 = the matrix was small enough
     /// to factorize directly).
     #[must_use]
     pub fn level_count(&self) -> usize {
-        self.hierarchy.level_count()
+        self.hierarchy.levels.len() + 1
     }
 
     /// Unknown count of the coarsest (directly factorized) level.
     #[must_use]
     pub fn coarsest_unknowns(&self) -> usize {
-        self.hierarchy.coarsest_unknowns()
+        self.hierarchy.coarse.dim()
     }
 }
 
@@ -1381,24 +785,17 @@ mod tests {
 
     /// A preconditioner whose sweeps thread past `threshold` work items.
     fn with_threshold(a: &CsrMatrix, threshold: usize) -> MultigridPreconditioner {
-        MultigridPreconditioner::from_hierarchy(
-            MultigridHierarchy::build_with_threshold(a, threshold).unwrap(),
-        )
+        MultigridPreconditioner::with_parallel_threshold(a, threshold).unwrap()
     }
 
-    /// 2-D Poisson on an `nx × ny` grid with Dirichlet coupling on one
-    /// edge and a vertical-coupling anisotropy `ay`.
+    /// 2-D Poisson on an `nx × ny` grid with a smooth per-cell
+    /// conductance factor, Dirichlet coupling on one edge and a
+    /// vertical-coupling anisotropy `ay`.
     fn poisson2d(nx: usize, ny: usize, ay: f64) -> CsrMatrix {
-        poisson2d_scaled(nx, ny, ay, 1.0)
-    }
-
-    /// Like [`poisson2d`] but with every conductance scaled by a smooth
-    /// per-cell factor — same sparsity pattern, different values.
-    fn poisson2d_scaled(nx: usize, ny: usize, ay: f64, amp: f64) -> CsrMatrix {
         let n = nx * ny;
         let mut coo = CooBuilder::new(n, n);
         let idx = |i: usize, j: usize| i + j * nx;
-        let cell = |i: usize, j: usize| amp * (1.0 + 0.3 * ((i + 2 * j) % 5) as f64);
+        let cell = |i: usize, j: usize| 1.0 + 0.3 * ((i + 2 * j) % 5) as f64;
         for j in 0..ny {
             for i in 0..nx {
                 let me = idx(i, j);
@@ -1541,65 +938,6 @@ mod tests {
     }
 
     #[test]
-    fn refresh_with_identical_values_reproduces_the_build_exactly() {
-        // Refresh re-runs the numeric kernels in the same accumulation
-        // order as the build, so feeding back the very same matrix must
-        // leave the V-cycle output bit-for-bit unchanged.
-        let a = poisson2d(14, 18, 8.0);
-        let n = a.rows();
-        let fresh = MultigridPreconditioner::new(&a).unwrap();
-        let mut refreshed = MultigridPreconditioner::new(&a).unwrap();
-        refreshed.refresh(&a).unwrap();
-        let r: Vec<f64> = (0..n).map(|i| ((i * 29) % 13) as f64 - 6.0).collect();
-        let mut z1 = vec![0.0; n];
-        let mut z2 = vec![0.0; n];
-        fresh.apply(&r, &mut z1);
-        refreshed.apply(&r, &mut z2);
-        assert_eq!(z1, z2, "identical-value refresh must be exact");
-    }
-
-    #[test]
-    fn refresh_tracks_perturbed_coefficients() {
-        // Build on one coefficient field, refresh onto a strongly scaled
-        // one: the refreshed hierarchy must still precondition the new
-        // operator well (same solution, few iterations).
-        let a1 = poisson2d_scaled(16, 16, 10.0, 1.0);
-        let a2 = poisson2d_scaled(16, 16, 10.0, 7.5);
-        assert!(a1.same_pattern(&a2));
-        let cfg = IterativeConfig::new(10_000, 1e-11);
-        let b = vec![1.0; a1.rows()];
-
-        let mut mg = MultigridPreconditioner::new(&a1).unwrap();
-        mg.refresh(&a2).unwrap();
-        let refreshed = solve_pcg(&a2, &b, &mg, &cfg).unwrap();
-        let fresh_pre = MultigridPreconditioner::new(&a2).unwrap();
-        let fresh = solve_pcg(&a2, &b, &fresh_pre, &cfg).unwrap();
-
-        let scale = fresh.solution.iter().fold(1e-30f64, |m, v| m.max(v.abs()));
-        for (x, y) in refreshed.solution.iter().zip(&fresh.solution) {
-            assert!((x - y).abs() <= 1e-7 * scale, "{x} vs {y}");
-        }
-        // The refreshed hierarchy must stay a real preconditioner, not
-        // degrade to something Jacobi-like.
-        assert!(
-            refreshed.iterations <= fresh.iterations + 5,
-            "refreshed {} vs fresh {}",
-            refreshed.iterations,
-            fresh.iterations
-        );
-    }
-
-    #[test]
-    fn refresh_rejects_pattern_mismatch() {
-        let a = poisson2d(12, 12, 1.0);
-        let other = poisson2d(12, 13, 1.0);
-        let mut mg = MultigridPreconditioner::new(&a).unwrap();
-        assert!(!mg.hierarchy().pattern_matches(&other));
-        let err = mg.refresh(&other).unwrap_err();
-        assert!(matches!(err, LinalgError::InvalidInput { .. }));
-    }
-
-    #[test]
     fn threaded_and_serial_vcycles_agree() {
         let a = poisson2d(20, 30, 25.0);
         let n = a.rows();
@@ -1666,40 +1004,6 @@ mod tests {
                     z_serial[i],
                     z_threaded[i]
                 );
-            }
-        }
-
-        #[test]
-        fn refresh_is_bitwise_identical_to_a_fresh_build_serial_and_threaded(
-            (dims, k, r) in box_system(),
-            scale in 0.2..5.0f64,
-        ) {
-            // The forced serial and threaded legs of the integration
-            // suite's refresh-vs-build property: under a uniform
-            // conductivity scaling the build-time pattern decisions are
-            // unchanged, so a refreshed hierarchy must reproduce a fresh
-            // build bit for bit on either sweep path.
-            let a1 = random_box_matrix(dims, &k);
-            let k2: Vec<f64> = k.iter().map(|&v| v * scale).collect();
-            let a2 = random_box_matrix(dims, &k2);
-            prop_assert!(a1.same_pattern(&a2));
-            for threshold in [usize::MAX, 1] {
-                let fresh = with_threshold(&a2, threshold);
-                let mut refreshed = with_threshold(&a1, threshold);
-                refreshed.refresh(&a2).unwrap();
-                let n = a2.rows();
-                let mut z_fresh = vec![0.0; n];
-                let mut z_refreshed = vec![0.0; n];
-                fresh.apply(&r, &mut z_fresh);
-                refreshed.apply(&r, &mut z_refreshed);
-                for i in 0..n {
-                    prop_assert!(
-                        z_fresh[i].to_bits() == z_refreshed[i].to_bits(),
-                        "refresh diverged from fresh build at {i} (threshold {threshold}): {} vs {}",
-                        z_fresh[i],
-                        z_refreshed[i]
-                    );
-                }
             }
         }
     }

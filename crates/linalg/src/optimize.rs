@@ -2,7 +2,8 @@
 //! line search.
 //!
 //! Used by the calibration pipeline to fit the paper's `k₁`/`k₂`
-//! coefficients against the FEM reference (DESIGN.md §3).
+//! coefficients against the FEM reference (README, “Where the paper is
+//! silent”).
 
 /// Configuration for [`nelder_mead`].
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -282,24 +282,13 @@ impl CsrMatrix {
         }
     }
 
-    /// `true` when both matrices share dimensions and the exact sparsity
-    /// pattern (`row_ptr` and `col_idx` equal entry for entry) — the
-    /// precondition for numeric-only multigrid refreshes.
-    #[must_use]
-    pub fn same_pattern(&self, other: &Self) -> bool {
-        self.rows == other.rows
-            && self.cols == other.cols
-            && self.row_ptr == other.row_ptr
-            && self.col_idx == other.col_idx
-    }
-
     /// The stored values, in row-major pattern order.
     pub(crate) fn values(&self) -> &[f64] {
         &self.values
     }
 
-    /// Mutable access to the stored values (pattern-preserving numeric
-    /// refresh; the pattern itself is immutable).
+    /// Mutable access to the stored values (the multigrid Galerkin mirror;
+    /// the pattern itself is immutable).
     pub(crate) fn values_mut(&mut self) -> &mut [f64] {
         &mut self.values
     }

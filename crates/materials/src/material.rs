@@ -58,7 +58,7 @@ impl Material {
     ///
     /// The paper does not state its silicon conductivity; 150 is the bulk
     /// 300 K value consistent with the Pavlidis–Friedman book it cites (see
-    /// DESIGN.md §3).
+    /// README, “Where the paper is silent”).
     #[must_use]
     pub const fn silicon() -> Self {
         Self::preset("silicon", 150.0)

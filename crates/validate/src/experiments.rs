@@ -518,8 +518,8 @@ pub fn calibration(fidelity: Fidelity) -> Result<Report, CoreError> {
 }
 
 /// Sensitivity of the headline claims to the silicon conductivity — the
-/// one material parameter the paper never states (DESIGN.md §3 picks
-/// 150 W/(m·K)). For each candidate k_Si the Fig.-5-style block is solved
+/// one material parameter the paper never states (the README’s “Where the paper is
+/// silent” picks 150 W/(m·K)). For each candidate k_Si the Fig.-5-style block is solved
 /// by Model B and FEM; the claims under reproduction (B tracks FEM, 1-D
 /// overestimates) must hold for every plausible value.
 ///

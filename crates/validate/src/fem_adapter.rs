@@ -1,19 +1,16 @@
 //! Mapping a [`Scenario`] onto the finite-volume reference solver.
 //!
 //! The paper validates against COMSOL on the true 3-D geometry; we
-//! substitute the axisymmetric unit cell (DESIGN.md §3): the (square)
-//! footprint becomes an equal-area disc, a cluster of `n` vias becomes `n`
-//! identical cells each carrying `1/n` of the heat, and each plane's power
-//! enters a thin device sheet on top of its substrate.
-
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+//! substitute the axisymmetric unit cell (README, “Where the paper is
+//! silent”): the (square) footprint becomes an equal-area disc, a cluster
+//! of `n` vias becomes `n` identical cells each carrying `1/n` of the
+//! heat, and each plane's power enters a thin device sheet on top of its
+//! substrate.
 
 use ttsv_core::scenario::{Scenario, ThermalModel};
 use ttsv_core::CoreError;
 use ttsv_fem::axisym::{AxisymSolution, AxisymmetricProblem};
-use ttsv_fem::{Axis, MultigridContext, MultigridHierarchy};
+use ttsv_fem::Axis;
 use ttsv_units::{Area, Length, TemperatureDelta};
 
 /// Mesh-resolution knobs for the reference solves.
@@ -83,14 +80,6 @@ impl FemResolution {
         }
     }
 }
-
-/// Multigrid-hierarchy pool of the Cartesian reference: reusable
-/// smoothed-aggregation setups per box shape `(nx, ny, nz)`, shared across
-/// clones. A solve pops a hierarchy, numerically refreshes it for its
-/// matrix values, and returns it — so an entire sweep over one box shape
-/// re-runs aggregation zero times after the first point (each concurrent
-/// worker at most once).
-type MgPool = Arc<Mutex<HashMap<(usize, usize, usize), Vec<MultigridHierarchy>>>>;
 
 /// The FEM reference model: a [`ThermalModel`] backed by the axisymmetric
 /// finite-volume solver, which factors every mesh directly (banded LU), so
@@ -328,8 +317,8 @@ impl ThermalModel for FemReference {
 /// A second, independent reference: the same unit cell solved in full 3-D
 /// Cartesian coordinates with its true square footprint and a staircase
 /// via. Slower than [`FemReference`]; used to bound the error of the
-/// equal-area-disc mapping (DESIGN.md §3) on any scenario, not just the
-/// hand-built integration-test geometry.
+/// equal-area-disc mapping (README, “Where the paper is silent”) on any
+/// scenario, not just the hand-built integration-test geometry.
 ///
 /// Resolution caveat: the staircase assigns whole cells by center
 /// containment, so the liner is only represented when `lateral_cells`
@@ -338,6 +327,12 @@ impl ThermalModel for FemReference {
 /// The axisymmetric reference has no such limit (its radial grid has
 /// explicit liner cells with exact shell conductances), which is why it is
 /// the primary reference.
+///
+/// Every solve assembles and solves its own box (multigrid-PCG beyond 8×8
+/// lateral cells, with a hierarchy built for that solve), so an answer is
+/// order-independent and carries no cross-solve state: one reference
+/// shared across a sweep or across worker threads gives the same bits as
+/// a fresh reference per scenario.
 #[derive(Debug, Clone)]
 pub struct CartesianReference {
     /// Lateral cells across the cell side.
@@ -345,11 +340,6 @@ pub struct CartesianReference {
     /// Vertical resolution knobs (shared with the axisymmetric adapter).
     pub resolution: FemResolution,
     device_thickness: Length,
-    /// Reusable multigrid hierarchies per box shape (boxes wider than 8×8
-    /// cells run multigrid-PCG, where setup dominates repeated
-    /// evaluations).
-    mg: MgPool,
-    mg_builds: Arc<AtomicUsize>,
 }
 
 impl Default for CartesianReference {
@@ -366,18 +356,7 @@ impl CartesianReference {
             lateral_cells: 30,
             resolution: FemResolution::default(),
             device_thickness: Length::from_micrometers(1.0),
-            mg: Arc::new(Mutex::new(HashMap::new())),
-            mg_builds: Arc::new(AtomicUsize::new(0)),
         }
-    }
-
-    /// How many full multigrid hierarchy builds (aggregation + Galerkin
-    /// pattern discovery) have run across all clones sharing this
-    /// reference. Solves that reuse a pooled hierarchy only refresh it
-    /// numerically and do not count.
-    #[must_use]
-    pub fn multigrid_builds(&self) -> usize {
-        self.mg_builds.load(Ordering::Relaxed)
     }
 
     /// Overrides the lateral cell count.
@@ -500,28 +479,12 @@ impl ThermalModel for CartesianReference {
     }
 
     fn max_delta_t(&self, scenario: &Scenario) -> Result<TemperatureDelta, CoreError> {
-        let prob = self.build_problem(scenario)?;
-        let key = prob.dims();
-        let pooled = self
-            .mg
-            .lock()
-            .ok()
-            .and_then(|mut pool| pool.get_mut(&key).and_then(Vec::pop));
-        let mut ctx = match pooled {
-            Some(hierarchy) => MultigridContext::from_hierarchy(hierarchy),
-            None => MultigridContext::new(),
-        };
-        let solution = prob
-            .solve_with_context(&prob.default_config(), Some(&mut ctx))
-            .map_err(|e| CoreError::InvalidScenario {
-                reason: format!("Cartesian reference solve failed: {e}"),
-            })?;
-        self.mg_builds.fetch_add(ctx.builds(), Ordering::Relaxed);
-        if let Some(hierarchy) = ctx.into_hierarchy() {
-            if let Ok(mut pool) = self.mg.lock() {
-                pool.entry(key).or_default().push(hierarchy);
-            }
-        }
+        let solution =
+            self.build_problem(scenario)?
+                .solve()
+                .map_err(|e| CoreError::InvalidScenario {
+                    reason: format!("Cartesian reference solve failed: {e}"),
+                })?;
         Ok(solution.max_temperature())
     }
 }
@@ -640,18 +603,27 @@ mod tests {
     }
 
     #[test]
-    fn cartesian_reference_reuses_its_hierarchy() {
+    fn cartesian_reference_is_order_independent() {
         // Radii far enough apart that the staircase via covers different
-        // cell sets at this lateral resolution (6.25 µm cells).
-        let cart = CartesianReference {
+        // cell sets at this lateral resolution (6.25 µm cells); 16×16
+        // lateral cells put both solves on the multigrid-PCG path.
+        let cart = || CartesianReference {
             lateral_cells: 16,
             resolution: FemResolution::coarse(),
             ..CartesianReference::new()
         };
-        let d1 = cart.max_delta_t(&scenario(6.0, 2.0)).unwrap();
-        let d2 = cart.max_delta_t(&scenario(12.0, 2.0)).unwrap();
+        let shared = cart();
+        let d1 = shared.max_delta_t(&scenario(6.0, 2.0)).unwrap();
+        let d2 = shared.max_delta_t(&scenario(12.0, 2.0)).unwrap();
         assert!(d2 < d1, "larger via must cool: {d1} vs {d2}");
-        assert_eq!(cart.multigrid_builds(), 1, "same box shape: one build");
+        // A solve that follows another must give the bits of a solve on
+        // a fresh reference.
+        let fresh = cart().max_delta_t(&scenario(12.0, 2.0)).unwrap();
+        assert_eq!(
+            d2.as_kelvin().to_bits(),
+            fresh.as_kelvin().to_bits(),
+            "shared {d2} vs fresh {fresh}"
+        );
     }
 
     #[test]

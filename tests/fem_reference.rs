@@ -14,7 +14,7 @@ fn um(v: f64) -> Length {
 /// The axisymmetric equal-area mapping agrees with a full 3-D Cartesian
 /// solve of the same TTSV unit cell within a documented band. This bounds
 /// the error of the substitution used throughout the reproduction
-/// (DESIGN.md §3).
+/// (README, “Where the paper is silent”).
 #[test]
 fn axisym_mapping_agrees_with_cartesian_3d() {
     // A simplified one-plane cell: 100×100 µm² footprint, 50 µm silicon,
