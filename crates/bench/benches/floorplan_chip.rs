@@ -2,13 +2,14 @@
 //! non-uniform maps): a 32×32 hotspot map (3 distinct unit cells after
 //! dedup) and a 32×32 gradient map (every cell distinct) evaluated
 //! through Model B(100), plus the factor-once batched path (one ladder
-//! factorization shared by all 1024 distinct-power tiles), the warm
-//! cross-call cache, and a warm two-tile power update on a 24×24 map (the
-//! serving steady state: the engine re-evaluates only the changed tiles).
+//! factorization shared by all 1024 distinct-power tiles), a warm
+//! re-evaluation of an unchanged plan (answered from its memo), and a
+//! warm two-tile power update on a 24×24 map (the serving steady state:
+//! the engine re-evaluates only the changed tiles).
 //!
-//! The engine's caches persist across calls, so every cold-path row
-//! constructs a fresh engine per iteration — otherwise the second
-//! iteration would measure cache hits, not solves.
+//! The factored path's memo and matrix tier persist across calls, so
+//! every cold-path row constructs a fresh engine per iteration —
+//! otherwise the second iteration would measure memo hits, not solves.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ttsv::prelude::*;

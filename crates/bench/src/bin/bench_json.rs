@@ -244,9 +244,9 @@ fn main() {
     // dedups 1024 tiles to 3 Model B solves; the all-distinct gradient
     // map prices the batch path itself, and
     // `factor_shared` prices the matrix-tier path (one ladder
-    // factorization + 1024 four-lane back-substitutions). The engine
-    // caches results across calls, so every row constructs a fresh engine
-    // per sample to measure the cold path.
+    // factorization + 1024 four-lane back-substitutions). The factored
+    // path's memo and matrix tier persist across calls, so every cold
+    // row constructs a fresh engine per sample.
     let hotspot = hotspot_floorplan(32);
     let gradient = gradient_floorplan(32);
     sampler.bench("floorplan_chip/hotspot32/model_b100", || {
@@ -264,6 +264,35 @@ fn main() {
             .evaluate_factored(&gradient, &b100)
             .expect("solvable")
     });
+    // The serving stream's shape, as in the criterion row of the same
+    // name: one engine and one all-distinct 24×24×3 plan, evaluated once;
+    // every sample then sets two tiles of one plane to fresh watt values
+    // and re-evaluates (two back-substitutions plus the memo scan).
+    let b10_1000 = ModelB::with_segments(10, 1000);
+    let mut warm_plan = gradient_floorplan(24);
+    let warm_engine = ChipEngine::new().with_workers(1);
+    warm_engine
+        .evaluate_factored(&warm_plan, &b10_1000)
+        .expect("solvable");
+    let mut round = 0usize;
+    sampler.bench(
+        "floorplan_chip/warm_update_2tile/24x24/model_b_10_1000",
+        || {
+            round += 1;
+            let plane = round % warm_plan.plane_count();
+            let mut tiles = warm_plan.plane_maps()[plane].tiles().to_vec();
+            let n = tiles.len();
+            for tile in [round % n, (round * 7 + 1) % n] {
+                tiles[tile] = Power::from_watts(0.05 + 1e-6 * round as f64);
+            }
+            warm_plan
+                .update_power_map(plane, PowerMap::new(24, 24, tiles).expect("valid map"))
+                .expect("same grid");
+            warm_engine
+                .evaluate_factored(&warm_plan, &b10_1000)
+                .expect("solvable")
+        },
+    );
 
     // The bounded sweep runner end to end (fig4-quick shape: 4 models
     // including the FEM reference).
@@ -282,10 +311,11 @@ fn main() {
     // server on an ephemeral loopback port, timed through a keep-alive
     // HTTP client. `cold_session` registers a never-seen chip
     // configuration per sample — distinct power maps AND a distinct via
-    // density, so both engine cache tiers miss (fresh ladder
-    // factorization plus per-tile solves); `warm_delta` patches two
-    // tiles of a live session whose power levels cycle through the
-    // scenario cache, answered with the full report (`?full=1`, the
+    // density, so neither the memo nor the matrix tier helps (fresh
+    // ladder factorization plus per-tile solves); `warm_delta` patches
+    // two tiles of a live session with power levels cycling through five
+    // values (the rest of the plan is answered from the session's memo),
+    // answered with the full report (`?full=1`, the
     // PR-6 wire format, so the row stays comparable to its baseline);
     // `warm_delta_response` is the same update answered with the
     // default delta response (changed tiles + summary stats only);
@@ -300,7 +330,7 @@ fn main() {
         const GRID: usize = 12;
         const FANOUT: usize = 32;
         // A never-seen chip configuration per id: per-session power scale
-        // and via density (both cache tiers miss), solved with the
+        // and via density (memo and matrix tier miss), solved with the
         // paper's deep B(1000) model — the same model warm deltas then
         // reuse, so the cold/warm gap prices the caching, not the model.
         let register_body = |session: usize| -> String {

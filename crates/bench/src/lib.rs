@@ -23,7 +23,7 @@
 //! | `case_study` | §IV-E | the 10 mm × 10 mm DRAM-µP stack unit cell |
 //! | `ablation_axisym_vs_cart` | — | FEM axisymmetric vs full Cartesian discretization cost |
 //! | `ablation_fem_mesh` | — | FEM cost vs mesh resolution (coarse → fine) |
-//! | `floorplan_chip` | §IV-E generalized | full-chip 32×32 power-map evaluation through the batch engine: hotspot vs all-distinct gradient maps, factor-once batched vs per-tile solves, warm cross-call cache, and a warm 2-tile power update on a 24×24 map (via [`hotspot_floorplan`]/[`gradient_floorplan`]) |
+//! | `floorplan_chip` | §IV-E generalized | full-chip 32×32 power-map evaluation through the batch engine: hotspot vs all-distinct gradient maps, factor-once batched vs per-tile solves, a warm re-evaluation answered from the plan's memo, and a warm 2-tile power update on a 24×24 map (via [`hotspot_floorplan`]/[`gradient_floorplan`]) |
 //!
 //! # Machine-readable perf tracking
 //!

@@ -1,58 +1,63 @@
 //! Batched evaluation of a floorplan's distinct unit cells, with
-//! cross-call result caching: a per-plan memo in front of two cache
-//! tiers.
+//! cross-call caching on the factored path: a per-plan memo in front of
+//! a matrix (factorization) tier.
 //!
 //! # The per-plan memo
 //!
 //! [`ChipEngine::evaluate_factored`] keeps, per plan, the last
 //! evaluation's per-tile cell bits and `ΔT` plus the plan's distinct
-//! cells with their tile counts. The memo key is the model's cache tag,
-//! the geometry bits and the full via-density map — everything but the
-//! power maps — so a power update keeps the key. A re-evaluation scans
-//! every tile's cell bits against the memo (word compares, no hashing or
-//! allocation), and only the changed tiles' new cells go down the lookup
-//! chain: the memo's own distinct cells, then the scenario tier, then the
-//! matrix tier. A warm two-tile update therefore costs two lookups and at
-//! most two back-substitutions, not a pass over every tile's keys.
-//! Correctness never rests on the key: two plans that share it (same
-//! geometry and via map) share one memo slot, and the scan finds the
-//! tiles where they differ. A memo is taken out of the engine for the
-//! evaluation and stored back only when it succeeded, so a failed call
-//! leaves no half-updated memo behind. The memos hold at most
+//! cells with their tile counts. The memo key is the model's cache tag
+//! and the plan's *lineage*: a private id that [`Floorplan::new`] draws
+//! from a process-wide counter and that clones and
+//! [`Floorplan::update_power_map`] keep. A re-evaluation scans every
+//! tile's cell bits against the memo (word compares, no hashing or
+//! allocation); the changed tiles' new cells are looked up in the memo's
+//! own distinct cells, and only the cells it does not hold are solved,
+//! through the matrix tier. A warm two-tile update therefore costs two
+//! lookups and at most two back-substitutions, not a pass over every
+//! tile's keys.
+//!
+//! Correctness rests on the scan, not on the key: the scan compares
+//! every tile's via density and powers, and a lineage's geometry and
+//! grid never change. Plans that share a lineage — a clone and its
+//! original — share one memo slot, and the scan finds the tiles where
+//! they differ. A memo is taken out of the engine for the evaluation and
+//! stored back only when it succeeded, so a failed call leaves no
+//! half-updated memo behind. The memos hold at most
 //! [`ChipEngine::with_scenario_cache_cap`] tiles in total, cleared
-//! generationally like the tiers below; a plan larger than the cap is not
-//! memoized.
+//! generationally; a plan larger than the cap is not memoized.
+//!
+//! The lineage key is a trade-off. Two independently built plans with
+//! the same geometry and via map — two sessions, say — keep separate
+//! memos instead of thrashing one slot, and the key costs no hashing of
+//! the via map. In exchange, a plan built again from scratch with
+//! identical content, or reverted to an earlier power map, pays its
+//! back-substitutions again (it still shares the factorizations).
 //!
 //! [`ChipEngine::evaluate`] — the generic path for models that are not
-//! power-separable — keeps no memo: it dedups and looks up every tile on
-//! every call, which makes it the in-engine oracle the property suites
-//! compare the memoized path against.
+//! power-separable — is stateless: it dedups identical tiles within the
+//! call, solves every distinct cell and keeps nothing, which makes it the
+//! in-engine oracle the property suites compare the memoized path
+//! against.
 //!
-//! # The two cache tiers
+//! # The matrix tier
 //!
-//! * **Scenario tier** — keyed on the full bit pattern of a tile's unit
-//!   cell (floorplan geometry + via density + per-plane powers) plus the
-//!   model's cache tag. A hit skips the model entirely: the tile's `ΔT`
-//!   is read back from an earlier solve, in this call or any previous
-//!   call on the same engine. Behind the memo it serves sharing across
-//!   plans (and across a plan's earlier versions).
-//! * **Matrix tier** (the factored path,
-//!   [`ChipEngine::evaluate_factored`]) — keyed on the *geometry* bits
-//!   only (powers excluded). For a [`PowerSeparableModel`] such as
-//!   [`ModelB`](ttsv_core::model_b::ModelB), tiles that differ only in
-//!   power share one matrix factorization, and each distinct power vector
-//!   costs a single `O(n)` back-substitution instead of an assembly +
-//!   factorization. An all-distinct power map (the worst case for the
-//!   scenario tier) collapses onto one factorization per distinct via
-//!   density.
+//! Keyed on the model's cache tag, the *geometry* bits and a tile's via
+//! density (powers excluded), and shared by every plan on the engine.
+//! For a [`PowerSeparableModel`] such as
+//! [`ModelB`](ttsv_core::model_b::ModelB), tiles that differ only in
+//! power share one matrix factorization, and each distinct power vector
+//! costs a single `O(n)` back-substitution instead of an assembly +
+//! factorization. An all-distinct power map collapses onto one
+//! factorization per distinct via density.
 //!
-//! The memo and both tiers are transparent: for deterministic models
-//! every cached value is bit-identical to a fresh per-tile solve (the
-//! property suites compare the engine bitwise against that oracle, also
-//! over random update sequences), so caching changes cost, never
-//! results. The [`ChipEngine::solves`] / [`ChipEngine::factorizations`]
-//! counters make the cost observable — the serving tests assert that a
-//! power delta re-solves exactly the changed tiles.
+//! The memo and the tier are transparent: for deterministic models every
+//! cached value is bit-identical to a fresh per-tile solve (the property
+//! suites compare the engine bitwise against that oracle, also over
+//! random update sequences), so caching changes cost, never results. The
+//! [`ChipEngine::solves`] / [`ChipEngine::factorizations`] counters make
+//! the cost observable — the serving tests assert that a power delta
+//! re-solves exactly the changed tiles.
 
 use std::any::Any;
 use std::collections::hash_map::Entry;
@@ -69,11 +74,11 @@ use ttsv_validate::sweep::{default_workers, run_batch_with_workers};
 use crate::floorplan::{CellKey, Floorplan};
 use crate::report::ChipReport;
 
-/// A cross-call cache key: the model's cache tag (interned per call)
-/// plus the exact bit pattern of everything that determines the cached
-/// value. Hashing covers only the bit payload — the tag still takes part
-/// in equality (hash collisions across models just share a bucket), so
-/// the per-tile hot path never re-hashes the tag string.
+/// A matrix-tier key: the model's cache tag (interned per call) plus the
+/// exact bit pattern of everything that determines the factorization.
+/// Hashing covers only the bit payload — the tag still takes part in
+/// equality (hash collisions across models just share a bucket), so the
+/// per-tile hot path never re-hashes the tag string.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct EngineKey {
     tag: Arc<str>,
@@ -137,25 +142,18 @@ type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
 /// happens on the coordinating thread, workers only solve).
 #[derive(Default)]
 struct EngineCaches {
-    /// Plan memos: model tag + geometry + via-map bits → the last
-    /// evaluation of a plan with that key.
-    memos: KeyMap<EngineKey, PlanMemo>,
+    /// Plan memos: model tag + plan lineage → the last evaluation of a
+    /// plan of that lineage.
+    memos: KeyMap<(Arc<str>, u64), PlanMemo>,
     /// Tiles held by `memos`, summed — the quantity the memo bound caps.
     memo_tiles: usize,
-    /// Scenario tier: model tag + geometry bits → a tile's cell bits
-    /// (density, per-plane powers) → `ΔT` in kelvin. Grouping the cells
-    /// under their geometry keeps each entry to its few cell words.
-    scenario: KeyMap<EngineKey, KeyMap<CellKey, f64>>,
-    /// Cells held by `scenario`, summed over geometries — the quantity
-    /// the scenario cap bounds.
-    scenario_cells: usize,
     /// Matrix tier: geometry bits → type-erased model factorization.
     matrix: KeyMap<EngineKey, Arc<dyn Any + Send + Sync>>,
 }
 
 /// One plan's last factored evaluation: every tile's cell bits and `ΔT`,
 /// plus the plan's distinct cells with their tile counts, so the next
-/// evaluation of a plan under the same key touches only the tiles whose
+/// evaluation of a plan of the same lineage touches only the tiles whose
 /// bits differ.
 struct PlanMemo {
     /// Row-major cell bits, [`Floorplan::cell_width`] words per tile
@@ -163,19 +161,18 @@ struct PlanMemo {
     cell_bits: Vec<u64>,
     /// Row-major per-tile `ΔT` in kelvin.
     delta_t: Vec<f64>,
-    /// The plan's via count (a function of the key alone).
+    /// The plan's via count (fixed for a lineage).
     total_vias: f64,
     /// Distinct cell bits → (tiles holding them, `ΔT` in kelvin).
     cells: KeyMap<CellKey, (usize, f64)>,
 }
 
 /// Evaluates a [`Floorplan`] through any [`ThermalModel`]: deduplicates
-/// identical tiles with a scenario-hash cache (persistent across calls),
-/// batch-solves the distinct unit cells on the bounded self-scheduling
-/// worker pool, and scatters the results back into a full-chip
-/// [`ChipReport`]. [`ChipEngine::evaluate_factored`] adds the per-plan
-/// memo and the matrix tier for power-separable models — see the module
-/// docs for when each fires.
+/// identical tiles, batch-solves the distinct unit cells on the bounded
+/// self-scheduling worker pool, and scatters the results back into a
+/// full-chip [`ChipReport`]. [`ChipEngine::evaluate_factored`] adds the
+/// per-plan memo and the matrix tier for power-separable models — see
+/// the module docs.
 ///
 /// The worker count and the cache caps change cost only: for
 /// deterministic models the report is bit-identical to solving every tile
@@ -185,23 +182,24 @@ struct PlanMemo {
 #[derive(Debug)]
 pub struct ChipEngine {
     workers: Option<usize>,
-    scenario_cache_cap: usize,
+    memo_tile_cap: usize,
     matrix_cache_cap: usize,
     caches: Mutex<EngineCaches>,
     solves: AtomicUsize,
     factorizations: AtomicUsize,
-    scenario_hits: AtomicUsize,
-    scenario_misses: AtomicUsize,
+    memo_hits: AtomicUsize,
     evictions: AtomicUsize,
 }
 
-/// Default bound on scenario-tier entries (~100 MB of keys at typical
-/// floorplan key widths), and on memoized tiles (about as much again) —
-/// see [`ChipEngine::with_scenario_cache_cap`].
-const DEFAULT_SCENARIO_CACHE_CAP: usize = 1 << 20;
+/// Default bound on memoized tiles, summed over plans. At three planes a
+/// memoized tile takes 40 B, plus 100–140 B for its entry in the plan's
+/// distinct cells when every tile is distinct, so the default bounds the
+/// memos at roughly 150–190 MB in that worst case — see
+/// [`ChipEngine::with_scenario_cache_cap`].
+const DEFAULT_MEMO_TILE_CAP: usize = 1 << 20;
 
 /// Default bound on matrix-tier entries. Factorizations are orders of
-/// magnitude heavier than scenario entries, and the tier is keyed on
+/// magnitude heavier than memoized tiles, and the tier is keyed on
 /// geometry only, so thousands of distinct geometries already indicates a
 /// pathological workload — see [`ChipEngine::with_matrix_cache_cap`].
 const DEFAULT_MATRIX_CACHE_CAP: usize = 1 << 12;
@@ -211,7 +209,6 @@ impl std::fmt::Debug for EngineCaches {
         f.debug_struct("EngineCaches")
             .field("memos", &self.memos.len())
             .field("memo_tiles", &self.memo_tiles)
-            .field("scenario_cells", &self.scenario_cells)
             .field("matrix_entries", &self.matrix.len())
             .finish()
     }
@@ -221,14 +218,9 @@ impl Clone for ChipEngine {
     fn clone(&self) -> Self {
         Self {
             workers: self.workers,
-            scenario_cache_cap: self.scenario_cache_cap,
+            memo_tile_cap: self.memo_tile_cap,
             matrix_cache_cap: self.matrix_cache_cap,
-            caches: Mutex::new(EngineCaches::default()),
-            solves: AtomicUsize::new(0),
-            factorizations: AtomicUsize::new(0),
-            scenario_hits: AtomicUsize::new(0),
-            scenario_misses: AtomicUsize::new(0),
-            evictions: AtomicUsize::new(0),
+            ..Self::new()
         }
     }
 }
@@ -246,13 +238,12 @@ impl ChipEngine {
     pub fn new() -> Self {
         Self {
             workers: None,
-            scenario_cache_cap: DEFAULT_SCENARIO_CACHE_CAP,
+            memo_tile_cap: DEFAULT_MEMO_TILE_CAP,
             matrix_cache_cap: DEFAULT_MATRIX_CACHE_CAP,
             caches: Mutex::new(EngineCaches::default()),
             solves: AtomicUsize::new(0),
             factorizations: AtomicUsize::new(0),
-            scenario_hits: AtomicUsize::new(0),
-            scenario_misses: AtomicUsize::new(0),
+            memo_hits: AtomicUsize::new(0),
             evictions: AtomicUsize::new(0),
         }
     }
@@ -269,23 +260,24 @@ impl ChipEngine {
         self
     }
 
-    /// Bounds the scenario-tier cache (default: 2²⁰ entries). A serving
-    /// loop that streams continuously varying power maps would otherwise
-    /// accumulate one permanent entry per distinct tile bit-pattern; when
-    /// an evaluation would push the tier past the cap, the tier is
-    /// cleared first (generational eviction — the current working set
-    /// repopulates it, and eviction only costs re-solves, never
-    /// correctness). Evicted entries count into [`ChipEngine::evictions`].
-    /// The same cap bounds the plan memos of
-    /// [`ChipEngine::evaluate_factored`], counted in memoized tiles.
+    /// Bounds the plan memos of [`ChipEngine::evaluate_factored`], in
+    /// memoized tiles summed over plans (default: 2²⁰). The name dates
+    /// from a since-removed scenario cache; the cap now bounds memo tiles
+    /// only. A serving loop that keeps registering new plans would
+    /// otherwise accumulate one memo per plan; when storing a memo would
+    /// push the total past the cap, every memo is dropped first
+    /// (generational eviction — the live plans repopulate it, and
+    /// eviction only costs re-solves, never correctness), and a plan
+    /// larger than the cap is not memoized at all. Dropped tiles count
+    /// into [`ChipEngine::evictions`].
     ///
     /// # Panics
     ///
     /// Panics if `cap` is zero.
     #[must_use]
     pub fn with_scenario_cache_cap(mut self, cap: usize) -> Self {
-        assert!(cap > 0, "the scenario cache cap must be positive");
-        self.scenario_cache_cap = cap;
+        assert!(cap > 0, "the memo tile cap must be positive");
+        self.memo_tile_cap = cap;
         self
     }
 
@@ -305,59 +297,23 @@ impl ChipEngine {
         self
     }
 
-    /// Inserts this evaluation's cells under their geometry key,
-    /// keeping the tier within [`ChipEngine::with_scenario_cache_cap`]: a
-    /// working set larger than the cap is not cached at all, and one
-    /// that no longer fits beside the existing entries clears the tier
-    /// first (`new_entries` counts this call's cache misses, so
-    /// steady-state hits don't get double-counted into spurious clears).
-    fn cache_scenarios<'c>(
-        &self,
-        geometry: &EngineKey,
-        cells: impl ExactSizeIterator<Item = &'c [u64]>,
-        cell_delta_t: &[f64],
-        new_entries: usize,
-    ) {
-        if cells.len() > self.scenario_cache_cap {
-            return;
-        }
-        let mut caches = self.caches.lock().expect("engine cache lock");
-        let caches = &mut *caches;
-        if caches.scenario_cells + new_entries > self.scenario_cache_cap {
-            self.evictions
-                .fetch_add(caches.scenario_cells, Ordering::Relaxed);
-            caches.scenario.clear();
-            caches.scenario_cells = 0;
-        }
-        let tier = caches.scenario.entry(geometry.clone()).or_default();
-        for (cell, &dt) in cells.zip(cell_delta_t) {
-            match tier.get_mut(cell) {
-                Some(cached) => *cached = dt,
-                None => {
-                    tier.insert(CellKey::new(cell.to_vec()), dt);
-                    caches.scenario_cells += 1;
-                }
-            }
-        }
-    }
-
-    /// Stores a plan memo under `key`, keeping the memo tier within
+    /// Stores a plan memo under `key`, keeping the memos within
     /// [`ChipEngine::with_scenario_cache_cap`] tiles: a plan larger than
     /// the cap is not memoized, and one that no longer fits beside the
-    /// existing memos clears the tier first (the cleared tiles count
-    /// into [`ChipEngine::evictions`]).
-    fn store_memo(&self, key: EngineKey, memo: PlanMemo) {
+    /// existing memos clears them first (the cleared tiles count into
+    /// [`ChipEngine::evictions`]).
+    fn store_memo(&self, key: (Arc<str>, u64), memo: PlanMemo) {
         let tiles = memo.delta_t.len();
-        if tiles > self.scenario_cache_cap {
+        if tiles > self.memo_tile_cap {
             return;
         }
         let mut caches = self.caches.lock().expect("engine cache lock");
-        // A concurrent evaluation of a plan under the same key may have
+        // A concurrent evaluation of a plan of the same lineage may have
         // stored its memo meanwhile; the newer one replaces it.
         if let Some(old) = caches.memos.remove(&key) {
             caches.memo_tiles -= old.delta_t.len();
         }
-        if caches.memo_tiles + tiles > self.scenario_cache_cap {
+        if caches.memo_tiles + tiles > self.memo_tile_cap {
             self.evictions
                 .fetch_add(caches.memo_tiles, Ordering::Relaxed);
             caches.memos.clear();
@@ -367,9 +323,10 @@ impl ChipEngine {
         caches.memos.insert(key, memo);
     }
 
-    /// Model solves this engine has actually performed (cache misses),
-    /// cumulative across calls. A repeat evaluation of an unchanged plan
-    /// adds zero; a power-delta update adds exactly the changed tiles.
+    /// Model solves this engine has actually performed (distinct cells
+    /// no memo held), cumulative across calls. A repeat factored
+    /// evaluation of an unchanged plan adds zero; a power-delta update
+    /// adds exactly the changed tiles' new cells.
     #[must_use]
     pub fn solves(&self) -> usize {
         self.solves.load(Ordering::Relaxed)
@@ -382,30 +339,23 @@ impl ChipEngine {
         self.factorizations.load(Ordering::Relaxed)
     }
 
-    /// Scenario-tier cache hits (distinct cells answered from the cache),
-    /// cumulative across calls.
+    /// Distinct cells answered from a plan memo instead of solved,
+    /// cumulative across calls. Over successful evaluations,
+    /// `memo_hits + solves` is the sum of the reports' `distinct_cells`.
     #[must_use]
-    pub fn scenario_hits(&self) -> usize {
-        self.scenario_hits.load(Ordering::Relaxed)
+    pub fn memo_hits(&self) -> usize {
+        self.memo_hits.load(Ordering::Relaxed)
     }
 
-    /// Scenario-tier cache misses (distinct cells that had to be solved),
-    /// cumulative across calls.
-    #[must_use]
-    pub fn scenario_misses(&self) -> usize {
-        self.scenario_misses.load(Ordering::Relaxed)
-    }
-
-    /// Entries evicted from either cache tier by the generational caps,
-    /// plus memoized tiles dropped by the memo bound, cumulative across
-    /// calls. Eviction never changes results — evicted work just
-    /// re-solves on the next touch (property-tested).
+    /// Memoized tiles and factorizations dropped by the generational
+    /// caps, cumulative across calls. Eviction never changes results —
+    /// evicted work just re-solves on the next touch (property-tested).
     #[must_use]
     pub fn evictions(&self) -> usize {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// Current live entry counts, `(scenario tier, matrix tier)` — the
+    /// Current live sizes, `(memoized tiles, matrix-tier entries)` — the
     /// serving layer's memory observability hook.
     ///
     /// # Panics
@@ -414,56 +364,26 @@ impl ChipEngine {
     #[must_use]
     pub fn cache_entries(&self) -> (usize, usize) {
         let caches = self.caches.lock().expect("engine cache lock");
-        (caches.scenario_cells, caches.matrix.len())
-    }
-
-    /// A plan's geometry key — the model tag and the geometry bits —
-    /// under which the scenario tier files its cells.
-    fn geometry_key(plan: &Floorplan, tag: &Arc<str>) -> EngineKey {
-        EngineKey {
-            tag: tag.clone(),
-            bits: plan.geometry_bits(),
-        }
-    }
-
-    /// A plan's memo key: its geometry key plus the grid width and every
-    /// tile's via-density bits. The power maps are left out, so a power
-    /// update keeps the key; the memo's per-tile scan compares them
-    /// instead.
-    fn memo_key(plan: &Floorplan, geometry: &EngineKey) -> EngineKey {
-        let mut bits = Vec::with_capacity(geometry.bits.len() + 1 + plan.tiles());
-        bits.extend_from_slice(&geometry.bits);
-        bits.push(plan.nx() as u64);
-        bits.extend(plan.via_map().tiles().iter().map(|d| d.to_bits()));
-        EngineKey {
-            tag: geometry.tag.clone(),
-            bits,
-        }
+        (caches.memo_tiles, caches.matrix.len())
     }
 
     /// Gathers the distinct unit cells of a plan: per tile the index into
-    /// the distinct list, plus each distinct cell's representative tile
-    /// and cell bits.
-    #[allow(clippy::type_complexity)]
-    fn distinct_cells(plan: &Floorplan) -> (Vec<usize>, Vec<((usize, usize), CellKey)>, f64) {
+    /// the distinct list, each distinct cell's representative tile, and
+    /// the plan's via count.
+    fn distinct_cells(plan: &Floorplan) -> (Vec<usize>, Vec<(usize, usize)>, f64) {
         let (nx, ny) = (plan.nx(), plan.ny());
         let mut cell_of = Vec::with_capacity(nx * ny);
-        let mut distinct: Vec<((usize, usize), CellKey)> = Vec::new();
+        let mut distinct: Vec<(usize, usize)> = Vec::new();
         let mut seen: KeyMap<CellKey, usize> = KeyMap::default();
         seen.reserve(nx * ny);
         let mut total_vias = 0.0;
         for iy in 0..ny {
             for ix in 0..nx {
                 total_vias += plan.cells_in_tile(ix, iy);
-                let index = match seen.entry(plan.cell_key(ix, iy)) {
-                    Entry::Occupied(entry) => *entry.get(),
-                    Entry::Vacant(entry) => {
-                        let index = distinct.len();
-                        distinct.push(((ix, iy), entry.key().clone()));
-                        entry.insert(index);
-                        index
-                    }
-                };
+                let index = *seen.entry(plan.cell_key(ix, iy)).or_insert_with(|| {
+                    distinct.push((ix, iy));
+                    distinct.len() - 1
+                });
                 cell_of.push(index);
             }
         }
@@ -475,41 +395,12 @@ impl ChipEngine {
         self.workers.unwrap_or_else(default_workers)
     }
 
-    /// Answers what it can of `cells` (filed under `geometry`) from the
-    /// scenario tier: one `ΔT` in kelvin per cell (`NaN` where it missed)
-    /// and the misses' indices, in order. The call counts `distinct`
-    /// cells, of which the misses are the ones still to solve.
-    fn lookup_scenarios<'c>(
-        &self,
-        geometry: &EngineKey,
-        cells: impl ExactSizeIterator<Item = &'c [u64]>,
-        distinct: usize,
-    ) -> (Vec<f64>, Vec<usize>) {
-        let mut delta_t = vec![f64::NAN; cells.len()];
-        let mut misses = Vec::new();
-        {
-            let caches = self.caches.lock().expect("engine cache lock");
-            let tier = caches.scenario.get(geometry);
-            for (i, cell) in cells.enumerate() {
-                match tier.and_then(|tier| tier.get(cell)) {
-                    Some(&dt) => delta_t[i] = dt,
-                    None => misses.push(i),
-                }
-            }
-        }
-        self.scenario_hits
-            .fetch_add(distinct - misses.len(), Ordering::Relaxed);
-        self.scenario_misses
-            .fetch_add(misses.len(), Ordering::Relaxed);
-        (delta_t, misses)
-    }
-
-    /// Evaluates every tile's unit cell and assembles the chip `ΔT` map,
-    /// using the scenario-tier cache across calls; the distinct cells that
-    /// miss it are solved through [`ThermalModel::max_delta_t`].
+    /// Evaluates every tile's unit cell and assembles the chip `ΔT` map:
+    /// identical tiles are deduplicated within the call, and every
+    /// distinct cell is solved through [`ThermalModel::max_delta_t`].
     ///
-    /// This path keeps no plan memo: it dedups and looks up every tile on
-    /// every call, which makes it the in-engine oracle for
+    /// This path is stateless — it keeps no memo and reads no cache —
+    /// which makes it the in-engine oracle for
     /// [`ChipEngine::evaluate_factored`].
     ///
     /// # Errors
@@ -521,30 +412,15 @@ impl ChipEngine {
         plan: &Floorplan,
         model: &(dyn ThermalModel + Sync),
     ) -> Result<ChipReport, CoreError> {
-        let tag: Arc<str> = Arc::from(model.cache_tag());
-        let geometry = Self::geometry_key(plan, &tag);
         let (cell_of, distinct, total_vias) = Self::distinct_cells(plan);
-        let distinct_count = distinct.len();
-        let cells = || distinct.iter().map(|(_, cell)| cell.bits());
-        let (mut cell_delta_t, misses) = self.lookup_scenarios(&geometry, cells(), distinct_count);
-
-        let scenarios = misses
+        let scenarios = distinct
             .iter()
-            .map(|&i| {
-                let (ix, iy) = distinct[i].0;
-                plan.tile_cell(ix, iy).map(|cell| cell.scenario)
-            })
+            .map(|&(ix, iy)| plan.tile_cell(ix, iy).map(|cell| cell.scenario))
             .collect::<Result<Vec<Scenario>, CoreError>>()?;
-        let solved = run_batch_with_workers(scenarios.len(), self.workers(), |k| {
+        let cell_delta_t = run_batch_with_workers(scenarios.len(), self.workers(), |k| {
             model.max_delta_t(&scenarios[k]).map(|t| t.as_kelvin())
         })?;
-        self.solves.fetch_add(misses.len(), Ordering::Relaxed);
-        for (&i, dt) in misses.iter().zip(solved) {
-            cell_delta_t[i] = dt;
-        }
-        // One pass files every cell in the cache (re-inserting a hit
-        // rewrites the same value — harmless).
-        self.cache_scenarios(&geometry, cells(), &cell_delta_t, misses.len());
+        self.solves.fetch_add(scenarios.len(), Ordering::Relaxed);
 
         let delta_t: Vec<f64> = cell_of.iter().map(|&i| cell_delta_t[i]).collect();
         Ok(ChipReport::from_tiles(
@@ -552,17 +428,16 @@ impl ChipEngine {
             plan.nx(),
             plan.ny(),
             delta_t,
-            distinct_count,
+            distinct.len(),
             total_vias,
         ))
     }
 
     /// Like [`ChipEngine::evaluate`], but for [`PowerSeparableModel`]s,
-    /// and with a per-plan memo: a re-evaluation of a plan whose via map
-    /// and geometry are unchanged touches only the tiles whose power bits
-    /// changed since the last evaluation under the same memo key. Their
-    /// new cells are looked up in the plan's own distinct cells, then the
-    /// scenario tier, and the rest are solved through the matrix tier —
+    /// and with a per-plan memo: a re-evaluation of a plan of the same
+    /// lineage touches only the tiles whose cell bits changed since the
+    /// last evaluation. Their new cells are looked up in the plan's own
+    /// distinct cells, and the rest are solved through the matrix tier —
     /// one factorization per distinct geometry (via density), one
     /// back-substitution per distinct power vector — with no full
     /// [`Scenario`] built for tiles whose matrix is already cached.
@@ -579,8 +454,8 @@ impl ChipEngine {
         plan: &Floorplan,
         model: &M,
     ) -> Result<ChipReport, CoreError> {
-        let geometry = Self::geometry_key(plan, &Arc::from(model.cache_tag()));
-        let key = Self::memo_key(plan, &geometry);
+        let tag: Arc<str> = Arc::from(model.cache_tag());
+        let key = (tag.clone(), plan.lineage());
         let memo = {
             let mut caches = self.caches.lock().expect("engine cache lock");
             let memo = caches.memos.remove(&key);
@@ -596,7 +471,7 @@ impl ChipEngine {
             cells: KeyMap::default(),
         });
         // On error the memo is dropped here, not stored half-updated.
-        self.update_memo(plan, model, &geometry, &mut memo)?;
+        self.update_memo(plan, model, tag, &mut memo)?;
         let report = ChipReport::from_tiles(
             model.name(),
             plan.nx(),
@@ -612,14 +487,14 @@ impl ChipEngine {
     /// Brings `memo` up to date with `plan`: scans every tile's cell bits
     /// against the memo (an empty memo counts every tile as changed),
     /// counts the changed tiles' new cells in and their old cells out,
-    /// resolves the new cells the memo did not hold through the scenario
-    /// tier and then [`ChipEngine::solve_factored`], and patches the
-    /// changed tiles' `ΔT`.
+    /// solves the new cells the memo did not hold through
+    /// [`ChipEngine::solve_factored`], and patches the changed tiles'
+    /// `ΔT`.
     fn update_memo<M: PowerSeparableModel + Sync>(
         &self,
         plan: &Floorplan,
         model: &M,
-        geometry: &EngineKey,
+        tag: Arc<str>,
         memo: &mut PlanMemo,
     ) -> Result<(), CoreError> {
         let width = plan.cell_width();
@@ -667,29 +542,14 @@ impl ChipEngine {
             plan.write_cell_bits(t, slot);
         }
 
-        let (mut unseen_delta_t, misses) = self.lookup_scenarios(
-            geometry,
-            unseen.iter().map(|&t| &memo.cell_bits[span(t)]),
-            memo.cells.len(),
-        );
         let nx = plan.nx();
-        let miss_tiles: Vec<(usize, usize)> = misses
-            .iter()
-            .map(|&i| (unseen[i] % nx, unseen[i] / nx))
-            .collect();
-        let solved = self.solve_factored(plan, model, geometry, &miss_tiles)?;
-        self.solves.fetch_add(misses.len(), Ordering::Relaxed);
-        for (&i, dt) in misses.iter().zip(solved) {
-            unseen_delta_t[i] = dt;
-        }
-        self.cache_scenarios(
-            geometry,
-            unseen.iter().map(|&t| &memo.cell_bits[span(t)]),
-            &unseen_delta_t,
-            misses.len(),
-        );
+        let unseen_tiles: Vec<(usize, usize)> = unseen.iter().map(|&t| (t % nx, t / nx)).collect();
+        let solved = self.solve_factored(plan, model, tag, &unseen_tiles)?;
+        self.solves.fetch_add(unseen.len(), Ordering::Relaxed);
+        self.memo_hits
+            .fetch_add(memo.cells.len() - unseen.len(), Ordering::Relaxed);
 
-        for (&t, &dt) in unseen.iter().zip(&unseen_delta_t) {
+        for (&t, dt) in unseen.iter().zip(solved) {
             memo.cells
                 .get_mut(&memo.cell_bits[span(t)])
                 .expect("counted in above")
@@ -701,19 +561,24 @@ impl ChipEngine {
         Ok(())
     }
 
-    /// The matrix-tier miss solver behind [`ChipEngine::evaluate_factored`]:
-    /// groups the missed tiles `(ix, iy)` by via density (the matrix key
-    /// extends the plan's `geometry` key by it), factorizes every matrix
-    /// not already cached, and back-substitutes each miss's power vector;
-    /// returns one `ΔT` in kelvin per miss, in order.
+    /// The matrix-tier solver behind [`ChipEngine::evaluate_factored`]:
+    /// groups the tiles `(ix, iy)` to solve by via density (the matrix key
+    /// is the model `tag`, the plan's geometry bits and the density),
+    /// factorizes every matrix not already cached, and back-substitutes
+    /// each tile's power vector; returns one `ΔT` in kelvin per tile, in
+    /// order.
     fn solve_factored<M: PowerSeparableModel + Sync>(
         &self,
         plan: &Floorplan,
         model: &M,
-        geometry: &EngineKey,
+        tag: Arc<str>,
         misses: &[(usize, usize)],
     ) -> Result<Vec<f64>, CoreError> {
         let workers = self.workers();
+        let geometry = EngineKey {
+            tag,
+            bits: plan.geometry_bits(),
+        };
         let mut matrix_keys: Vec<EngineKey> = Vec::new();
         let mut matrix_index: KeyMap<EngineKey, usize> = KeyMap::default();
         let mut matrix_of: Vec<usize> = Vec::with_capacity(misses.len());
@@ -757,9 +622,9 @@ impl ChipEngine {
             .fetch_add(missing.len(), Ordering::Relaxed);
         {
             let mut caches = self.caches.lock().expect("engine cache lock");
-            // Same generational bound as the scenario tier: a working set
-            // past the cap is not cached; one that no longer fits beside
-            // the existing entries clears the tier (counted as evictions).
+            // Same generational bound as the memos: a working set past
+            // the cap is not cached; one that no longer fits beside the
+            // existing entries clears the tier (counted as evictions).
             let cache_matrices = missing.len() <= self.matrix_cache_cap;
             if cache_matrices && caches.matrix.len() + missing.len() > self.matrix_cache_cap {
                 self.evictions
@@ -844,10 +709,6 @@ mod tests {
         assert_eq!(report.max_delta_t, report.mean_delta_t);
         assert_eq!(report.max_delta_t, report.p99_delta_t);
         assert!(report.max_delta_t > 0.0);
-        // Re-evaluating the same plan is a pure cache hit.
-        let again = engine.evaluate(&plan, &model_a()).unwrap();
-        assert_eq!(engine.solves(), 1);
-        assert_eq!(again.delta_t, report.delta_t);
     }
 
     #[test]
@@ -930,6 +791,7 @@ mod tests {
         let report = engine.evaluate_factored(&plan, &model).unwrap();
         assert_eq!(report.distinct_cells, 2);
         assert_eq!(engine.solves(), 2, "only the changed tile re-solves");
+        assert_eq!(engine.memo_hits(), 1, "the other cell came from the memo");
         assert_eq!(engine.factorizations(), 1, "geometry unchanged");
     }
 
@@ -1067,41 +929,36 @@ mod tests {
     }
 
     #[test]
-    fn scenario_cache_is_bounded_by_generational_eviction() {
-        // Two successive single-cell evaluations under a cap of 1: the
-        // second insert clears the first generation, so the tier never
-        // exceeds the bound — and correctness is untouched (the evicted
-        // tile just re-solves).
+    fn plan_memo_is_bounded_by_generational_eviction() {
+        // Two 4-tile plans under a cap of 4 memoized tiles: storing the
+        // second plan's memo drops the first, so the memos never exceed
+        // the bound — and correctness is untouched (the evicted plan just
+        // re-solves).
         let cs = CaseStudy::paper();
+        let model = ModelB::paper_b20();
         let plan_a = Floorplan::uniform(&cs, 2, 2).unwrap();
         let mut cs_b = cs.clone();
         cs_b.plane_powers[0] = cs.plane_powers[0] * 2.0;
         let plan_b = Floorplan::uniform(&cs_b, 2, 2).unwrap();
-        let engine = ChipEngine::new().with_scenario_cache_cap(1);
-        let first = engine.evaluate(&plan_a, &model_a()).unwrap();
-        engine.evaluate(&plan_b, &model_a()).unwrap();
+        let engine = ChipEngine::new().with_scenario_cache_cap(4);
+        let first = engine.evaluate_factored(&plan_a, &model).unwrap();
+        engine.evaluate_factored(&plan_b, &model).unwrap();
         assert_eq!(engine.solves(), 2);
-        assert_eq!(engine.evictions(), 1, "plan_a's entry was evicted");
-        // plan_a was evicted: evaluating it again re-solves (cache still
-        // bounded), bit-identically.
-        let again = engine.evaluate(&plan_a, &model_a()).unwrap();
-        assert_eq!(engine.solves(), 3);
-        assert_eq!(first.delta_t, again.delta_t);
-        assert!(engine.cache_entries().0 <= 1, "tier stays within its cap");
-    }
+        assert_eq!(engine.evictions(), 4, "plan_a's four tiles were dropped");
+        assert_eq!(engine.cache_entries().0, 4);
+        let again = engine.evaluate_factored(&plan_a, &model).unwrap();
+        assert_eq!(engine.solves(), 3, "the evicted plan re-solves");
+        assert_eq!(engine.evictions(), 8);
+        let bits = |r: &ChipReport| r.delta_t.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&again), bits(&first));
+        assert_eq!(again.to_json(), first.to_json());
 
-    #[test]
-    fn hit_and_miss_counters_track_the_scenario_tier() {
-        let plan = Floorplan::uniform(&CaseStudy::paper(), 4, 4).unwrap();
-        let engine = ChipEngine::new();
-        engine.evaluate(&plan, &model_a()).unwrap();
-        // 16 tiles dedup to 1 distinct cell: 1 miss, 0 hits.
-        assert_eq!(engine.scenario_misses(), 1);
-        assert_eq!(engine.scenario_hits(), 0);
-        engine.evaluate(&plan, &model_a()).unwrap();
-        assert_eq!(engine.scenario_misses(), 1);
-        assert_eq!(engine.scenario_hits(), 1);
-        assert_eq!(engine.evictions(), 0);
+        // A plan larger than the cap is not memoized at all.
+        let small = ChipEngine::new().with_scenario_cache_cap(3);
+        small.evaluate_factored(&plan_a, &model).unwrap();
+        small.evaluate_factored(&plan_a, &model).unwrap();
+        assert_eq!(small.solves(), 2);
+        assert_eq!((small.cache_entries().0, small.evictions()), (0, 0));
     }
 
     #[test]
@@ -1124,7 +981,8 @@ mod tests {
         assert_eq!(engine.factorizations(), 2);
         assert_eq!(engine.evictions(), 1, "plan_a's matrix was evicted");
         // Force a re-factorization of plan_a by changing its power bits
-        // (a pure scenario-tier hit would never touch the matrix tier).
+        // (an unchanged plan is answered from its memo and never touches
+        // the matrix tier).
         let mut plan_a2 = plan_a;
         let tiles: Vec<Power> = plan_a2.plane_maps()[0]
             .tiles()
@@ -1147,13 +1005,16 @@ mod tests {
     #[test]
     fn cloned_engines_start_cold() {
         let plan = Floorplan::uniform(&CaseStudy::paper(), 2, 2).unwrap();
+        let model = ModelB::paper_b20();
         let engine = ChipEngine::new();
-        engine.evaluate(&plan, &model_a()).unwrap();
+        engine.evaluate_factored(&plan, &model).unwrap();
         assert_eq!(engine.solves(), 1);
         let fresh = engine.clone();
-        assert_eq!(fresh.solves(), 0);
-        fresh.evaluate(&plan, &model_a()).unwrap();
-        assert_eq!(fresh.solves(), 1);
+        assert_eq!((fresh.solves(), fresh.cache_entries()), (0, (0, 0)));
+        fresh.evaluate_factored(&plan, &model).unwrap();
+        assert_eq!(fresh.solves(), 1, "the clone has no memo of the plan");
+        engine.evaluate_factored(&plan, &model).unwrap();
+        assert_eq!(engine.solves(), 1, "the original keeps its memo");
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! the dedup invariant [`ChipEngine`](crate::engine::ChipEngine) exploits.
 
 use std::borrow::Borrow;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::{Deserialize, Serialize};
 use ttsv_core::full_chip::CaseStudy;
 use ttsv_core::geometry::{HeatLoad, Plane, Stack, TtsvConfig};
 use ttsv_core::scenario::Scenario;
@@ -22,7 +22,14 @@ use crate::map::{PowerMap, ViaDensityMap};
 
 /// A chip floorplan: the stack geometry of a [`CaseStudy`] with the
 /// uniform power/density idealization replaced by per-tile maps.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Every [`Floorplan::new`] starts a fresh *lineage*: a private id that
+/// clones and [`Floorplan::update_power_map`] keep. The engine files its
+/// per-plan memo under it, so each independently built plan keeps its
+/// own memo even when another plan has the same geometry and via map.
+/// The lineage takes part in neither equality nor serialization (the
+/// type has neither).
+#[derive(Debug, Clone)]
 pub struct Floorplan {
     footprint: Area,
     t_si: Length,
@@ -32,7 +39,11 @@ pub struct Floorplan {
     tsv: TtsvConfig,
     plane_maps: Vec<PowerMap>,
     via_map: ViaDensityMap,
+    lineage: u64,
 }
+
+/// The process-wide source of [`Floorplan`] lineage ids.
+static NEXT_LINEAGE: AtomicU64 = AtomicU64::new(0);
 
 /// One tile's per-via unit cell: the scenario to evaluate plus the
 /// (fractional) number of such cells the tile holds.
@@ -46,7 +57,7 @@ pub struct TileCell {
 }
 
 /// Everything that distinguishes one tile's unit cell from another's,
-/// as exact bit patterns — the scenario-hash dedup key. It borrows as
+/// as exact bit patterns — the engine's dedup and memo cell key. It borrows as
 /// its raw `[u64]` bits (equal hashes, equal equality), so a key map can
 /// be probed with a scratch slice without allocating a key.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -56,11 +67,6 @@ impl CellKey {
     /// Wraps raw cell bits (density first, then per-plane powers).
     pub(crate) fn new(bits: Vec<u64>) -> Self {
         Self(bits)
-    }
-
-    /// The raw bit patterns (density first, then per-plane powers).
-    pub(crate) fn bits(&self) -> &[u64] {
-        &self.0
     }
 }
 
@@ -116,6 +122,7 @@ impl Floorplan {
             tsv: case.tsv.clone(),
             plane_maps,
             via_map,
+            lineage: NEXT_LINEAGE.fetch_add(1, Ordering::Relaxed),
         })
     }
 
@@ -268,9 +275,10 @@ impl Floorplan {
 
     /// Replaces one plane's power map — the serving move: a power-delta
     /// update leaves the geometry (and therefore every cached matrix
-    /// factorization) intact, so a re-evaluation through a caching
-    /// [`ChipEngine`](crate::engine::ChipEngine) re-solves only the tiles
-    /// whose power actually changed.
+    /// factorization) and the plan's lineage intact, so a re-evaluation
+    /// through [`ChipEngine::evaluate_factored`](crate::engine::ChipEngine::evaluate_factored)
+    /// finds the plan's memo and re-solves only the tiles whose power
+    /// actually changed.
     ///
     /// # Errors
     ///
@@ -301,11 +309,18 @@ impl Floorplan {
         Ok(())
     }
 
+    /// This plan's lineage id: drawn by [`Floorplan::new`], kept by clones
+    /// and power-map updates. A lineage's geometry, grid and via map
+    /// never change (the type has no setter for them).
+    pub(crate) fn lineage(&self) -> u64 {
+        self.lineage
+    }
+
     /// The exact bit patterns of everything geometric the tile-cell
     /// construction reads besides per-tile maps: footprint, layer
     /// thicknesses, TSV configuration (radius, liner, count, material
-    /// conductivities), and the plane count. Combined with per-tile
-    /// density/power bits these form the engine's cross-call cache keys.
+    /// conductivities), and the plane count. Extended by a tile's via
+    /// density they key the engine's matrix tier.
     pub(crate) fn geometry_bits(&self) -> Vec<u64> {
         vec![
             self.footprint.as_square_meters().to_bits(),

@@ -5,8 +5,8 @@
 //! (`ttsv_core::full_chip`). Real 3-D stacks have hotspots. This crate
 //! generalizes the case study to a **floorplan**: a per-plane power map on
 //! an `nx × ny` tile grid plus a via-density map, tiled into per-via unit
-//! cells under the same adiabatic-wall approximation, deduplicated by a
-//! scenario-hash cache, and batch-evaluated through any
+//! cells under the same adiabatic-wall approximation, deduplicated, and
+//! batch-evaluated through any
 //! [`ThermalModel`](ttsv_core::scenario::ThermalModel) on the bounded
 //! self-scheduling worker pool of `ttsv_validate::sweep`.
 //!
@@ -16,44 +16,40 @@
 //!   [`CaseStudy`](ttsv_core::full_chip::CaseStudy)) + maps → per-tile
 //!   unit-cell scenarios, with
 //!   [`Floorplan::update_power_map`] as the serving-loop delta move,
-//! * [`ChipEngine`] — dedup + batched evaluation behind a **per-plan
-//!   memo** and **two cross-call cache tiers**,
+//! * [`ChipEngine`] — dedup + batched evaluation, with a **per-plan
+//!   memo** in front of a **matrix tier** on the factored path,
 //! * [`ChipReport`] — the full-chip `ΔT` map with hotspot statistics
 //!   (max / p99 / mean, argmax tile), JSON-serializable for downstream
 //!   serving.
 //!
-//! # The memo and the two cache tiers
+//! # The memo and the matrix tier
 //!
-//! The engine's caches persist across calls and key on exact bit
-//! patterns, so they change cost, never results:
+//! Every evaluation dedups bit-identical tiles within the call (a 32×32
+//! hotspot map with 3 power levels costs 3 solves, not 1024).
+//! [`ChipEngine::evaluate_factored`], the path for
+//! [`PowerSeparableModel`](ttsv_core::scenario::PowerSeparableModel)s
+//! (Model B), adds two caches that persist across calls and key on
+//! exact bit patterns, so they change cost, never results:
 //!
-//! * **Per-plan memo** — [`ChipEngine::evaluate_factored`] keeps each
-//!   plan's last per-tile cell bits and `ΔT`, keyed on the model, the
-//!   geometry and the via map. After [`Floorplan::update_power_map`] a
+//! * **Per-plan memo** — each plan's last per-tile cell bits and `ΔT`,
+//!   keyed on the model and the plan's lineage (a private id that
+//!   [`Floorplan::new`] draws and that clones and
+//!   [`Floorplan::update_power_map`] keep). After a power update a
 //!   re-evaluation finds the changed tiles with one word-compare scan
 //!   and touches only them, so a warm update costs O(changed tiles)
-//!   lookups plus their solves.
-//! * **Scenario tier** — keyed on geometry + via density + per-plane
-//!   powers (+ the model's
-//!   [`cache_tag`](ttsv_core::scenario::ThermalModel::cache_tag)). Fires
-//!   whenever two tiles are bit-identical — within one evaluation (the
-//!   classic dedup: a 32×32 hotspot map with 3 power levels costs 3
-//!   solves, not 1024) or across evaluations and plans (a cell any
-//!   earlier evaluation solved is not solved again).
-//! * **Matrix tier** — keyed on geometry + via density only, used by
-//!   [`ChipEngine::evaluate_factored`] for
-//!   [`PowerSeparableModel`](ttsv_core::scenario::PowerSeparableModel)s
-//!   (Model B): fires when tiles differ *only in power*, where the
-//!   scenario tier is useless. Each distinct geometry is factorized
-//!   once; every distinct power vector then costs one `O(n)`
-//!   back-substitution (batched four right-hand sides per pass over the
-//!   factors), collapsing an all-distinct gradient map to a single
-//!   factorization.
+//!   lookups plus the solves of the cells the plan did not hold.
+//! * **Matrix tier** — keyed on geometry + via density only, shared by
+//!   every plan: fires when tiles differ *only in power*. Each distinct
+//!   geometry is factorized once; every distinct power vector then costs
+//!   one `O(n)` back-substitution (batched four right-hand sides per pass
+//!   over the factors), collapsing an all-distinct gradient map to a
+//!   single factorization.
 //!
+//! [`ChipEngine::evaluate`] keeps no state and is the in-engine oracle.
 //! The [`ChipEngine::solves`] and [`ChipEngine::factorizations`]
 //! counters expose what actually ran; the property suites check the
-//! memo, both tiers and the factored path bitwise against direct
-//! per-tile solves, also over random power-update sequences.
+//! memo, the tier and the factored path bitwise against direct per-tile
+//! solves, also over random power-update sequences.
 //!
 //! In the uniform-map limit the engine reproduces the single-unit-cell
 //! case study (the golden suite pins this).

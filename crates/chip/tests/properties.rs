@@ -1,9 +1,9 @@
 //! Property tests for the floorplan engine: power conservation under the
-//! tiling, bitwise agreement of both cached evaluation paths with a
-//! per-tile oracle, worker-count determinism of the batch runner, and
-//! seeded power-update sequences through the factored path's per-plan
-//! memo — randomized over grid shapes, plane counts, quantized power
-//! levels, and via densities.
+//! tiling, bitwise agreement of both evaluation paths with a per-tile
+//! oracle, worker-count determinism of the batch runner, and seeded
+//! power-update sequences through the factored path's per-plan memo —
+//! randomized over grid shapes, plane counts, quantized power levels,
+//! and via densities.
 
 use std::collections::HashSet;
 
@@ -15,7 +15,7 @@ use ttsv_core::model_a::ModelA;
 use ttsv_core::prelude::*;
 
 /// A randomized floorplan description. Powers and densities are drawn
-/// from small quantized level sets so the dedup cache has duplicates to
+/// from small quantized level sets so the dedup has duplicates to
 /// find (continuous draws would make every tile distinct).
 #[derive(Debug, Clone)]
 struct PlanParams {
@@ -113,7 +113,7 @@ impl Rng {
 const STEPS: usize = 12;
 
 /// The power of an edited tile: usually one of the quantized levels, so
-/// edits land on cells the plan or the cache may already hold, and
+/// edits land on cells the plan may already hold, and
 /// otherwise a fresh value no earlier step produced.
 fn edit_power(rng: &mut Rng) -> Power {
     if rng.below(4) == 0 {
@@ -247,7 +247,7 @@ proptest! {
         }
     }
 
-    /// Dedup and both cache tiers are transparent: `evaluate` (Model A)
+    /// Dedup and the factored path's caches are transparent: `evaluate` (Model A)
     /// and `evaluate_factored` (Model B(20)) reproduce the per-tile oracle
     /// bit for bit — every tile, the hottest value and its tile — and
     /// never solve more distinct cells than there are tiles.
@@ -308,7 +308,7 @@ proptest! {
         };
         prop_assert_eq!(engine.factorizations(), distinct_densities);
         prop_assert_eq!(engine.solves(), factored.distinct_cells);
-        // And a repeat evaluation is served entirely from the cache.
+        // And a repeat evaluation is served entirely from the plan's memo.
         let again = engine.evaluate_factored(&plan, &model).expect("solvable");
         prop_assert_eq!(engine.solves(), factored.distinct_cells);
         prop_assert_eq!(&again.delta_t, &factored.delta_t);
@@ -338,37 +338,43 @@ proptest! {
     /// The per-plan memo is transparent over update sequences: after
     /// every step of a seeded sequence on one plan and one engine,
     /// `evaluate_factored` matches a fresh engine and the per-tile oracle
-    /// bitwise, and solves exactly the new distinct cells that neither
-    /// the previous plan nor the scenario tier held (at the default cap
-    /// the tier keeps every cell this engine ever evaluated, so those are
-    /// the cells never seen before).
+    /// bitwise, and solves exactly the new distinct cells the previous
+    /// step's plan did not hold. Two engine configurations: the default
+    /// caps, and a memo cap of 1 tile with a matrix cap of 1 (every
+    /// evaluation of a multi-tile plan starts cold, every factorization
+    /// evicts the last), where only the cost may change.
     #[test]
     fn update_sequences_match_fresh_evaluation(p in plan_params(), seed in 0u64..u64::MAX) {
         let model = ModelB::paper_b20();
-        let mut plan = build(&p);
-        let engine = ChipEngine::new();
-        let mut rng = Rng(seed);
-        let mut history: Vec<Vec<PowerMap>> = Vec::new();
-        let mut seen: HashSet<Vec<u64>> = HashSet::new();
-        for step in 0..STEPS {
-            if step > 0 {
-                random_step(&mut plan, &history, &mut rng);
+        let tiny = ChipEngine::new().with_scenario_cache_cap(1).with_matrix_cache_cap(1);
+        // Each engine with whether it keeps this plan's memo.
+        for (engine, memoized) in [(ChipEngine::new(), true), (tiny, p.nx * p.ny == 1)] {
+            let mut plan = build(&p);
+            let mut rng = Rng(seed);
+            let mut history: Vec<Vec<PowerMap>> = Vec::new();
+            let mut previous: HashSet<Vec<u64>> = HashSet::new();
+            for step in 0..STEPS {
+                if step > 0 {
+                    random_step(&mut plan, &history, &mut rng);
+                }
+                history.push(plan.plane_maps().to_vec());
+                let cells = cell_set(&plan);
+                let solves = engine.solves();
+                let report = engine.evaluate_factored(&plan, &model).expect("solvable");
+                prop_assert_eq!(engine.solves() - solves, cells.difference(&previous).count());
+                if memoized {
+                    previous = cells;
+                }
+                check_against_fresh(&report, &plan, &model)?;
             }
-            history.push(plan.plane_maps().to_vec());
-            let cells = cell_set(&plan);
-            let solves = engine.solves();
-            let report = engine.evaluate_factored(&plan, &model).expect("solvable");
-            prop_assert_eq!(engine.solves() - solves, cells.difference(&seen).count());
-            seen.extend(cells);
-            check_against_fresh(&report, &plan, &model)?;
         }
     }
 
-    /// Two plans with identical geometry and via map share one memo slot:
-    /// alternating their update sequences on one engine, each evaluation
-    /// still matches a fresh engine bitwise — at the default caps, at a
-    /// cap of one plan's tiles (memo and scenario tier evicting), and at
-    /// a cap of 1 (nothing memoized).
+    /// Two plans of one lineage (the second a clone of the first with its
+    /// power maps replaced) share one memo slot: alternating their update
+    /// sequences on one engine, each evaluation still matches a fresh
+    /// engine bitwise — at the default caps, at a cap of one plan's tiles
+    /// (the memos evicting), and at a cap of 1 (nothing memoized).
     #[test]
     fn alternating_plans_sharing_a_memo_key_stay_bitwise(
         p in plan_params(),
@@ -384,7 +390,12 @@ proptest! {
                 Some(cap) => ChipEngine::new().with_scenario_cache_cap(cap),
                 None => ChipEngine::new(),
             };
-            let mut plans = [build(&p), build(&second)];
+            let first = build(&p);
+            let mut clone = first.clone();
+            for (j, map) in build(&second).plane_maps().iter().enumerate() {
+                clone.update_power_map(j, map.clone()).expect("same grid");
+            }
+            let mut plans = [first, clone];
             let mut rngs = [Rng(seed), Rng(seed ^ 0x5555_5555_5555_5555)];
             let mut histories: [Vec<Vec<PowerMap>>; 2] = [Vec::new(), Vec::new()];
             for step in 0..STEPS {
@@ -399,4 +410,54 @@ proptest! {
             }
         }
     }
+}
+
+/// Two independently built plans with the same geometry and via map keep
+/// their own memos: alternating 2-tile updates on one engine whose memo
+/// cap holds both plans, every evaluation solves exactly its changed
+/// tiles' new cells and matches a fresh engine bitwise.
+#[test]
+fn independent_plans_with_one_via_map_keep_their_own_memos() {
+    let (nx, ny) = (4, 4);
+    let tiles = nx * ny;
+    let build_plan = |scale: f64| {
+        let maps = (0..3)
+            .map(|j| {
+                PowerMap::from_fn(nx, ny, |ix, iy| {
+                    Power::from_watts(scale * 0.01 * (1 + j + iy * nx + ix) as f64)
+                })
+                .expect("finite, non-negative powers")
+            })
+            .collect();
+        let via = ViaDensityMap::uniform(nx, ny, 0.005).expect("density in (0, 1)");
+        Floorplan::new(&CaseStudy::paper(), maps, via).expect("valid floorplan")
+    };
+    let model = ModelB::paper_b20();
+    let engine = ChipEngine::new().with_scenario_cache_cap(2 * tiles);
+    let mut plans = [build_plan(1.0), build_plan(2.0)];
+    for plan in &plans {
+        let solves = engine.solves();
+        let report = engine.evaluate_factored(plan, &model).expect("solvable");
+        assert_eq!(engine.solves() - solves, tiles, "every tile is distinct");
+        check_against_fresh(&report, plan, &model).expect("bitwise");
+    }
+    for step in 1..=STEPS {
+        for (k, plan) in plans.iter_mut().enumerate() {
+            // Two distinct tiles (5s ≢ 11s + 1 mod 16) set to watt values
+            // no earlier step used.
+            let plane = step % 3;
+            let mut map = plan.plane_maps()[plane].tiles().to_vec();
+            for t in [(5 * step) % tiles, (11 * step + 1) % tiles] {
+                let fresh = 3.0 + 1e-3 * (2 * step + k) as f64 + 1e-6 * t as f64;
+                map[t] = Power::from_watts(fresh);
+            }
+            let map = PowerMap::new(nx, ny, map).expect("finite, non-negative powers");
+            plan.update_power_map(plane, map).expect("same grid");
+            let solves = engine.solves();
+            let report = engine.evaluate_factored(plan, &model).expect("solvable");
+            assert_eq!(engine.solves() - solves, 2, "step {step}, plan {k}");
+            check_against_fresh(&report, plan, &model).expect("bitwise");
+        }
+    }
+    assert_eq!(engine.evictions(), 0);
 }

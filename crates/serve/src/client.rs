@@ -7,8 +7,8 @@
 //! registers a gradient power map scaled by `s`, then each round patches
 //! a couple of tiles with values that cycle through a small set — so a
 //! replay is reproducible byte-for-byte and the warm rounds genuinely
-//! hit the engine's scenario cache, which is the behavior the
-//! cold-vs-warm latency gate measures. Power rounds replay either the
+//! reuse the session's memo and cached factorization, which is the
+//! behavior the cold-vs-warm latency gate measures. Power rounds replay either the
 //! full-report wire format (`?full=1`, the default here, comparable
 //! across bench history) or the server's default delta responses.
 

@@ -30,12 +30,13 @@
 //! makes *zero* wakeups instead of ticking every millisecond (the
 //! `/metrics` `readiness` block counts wakeups).
 //!
-//! Every worker shares one [`ChipEngine`] whose per-plan memo and two
-//! cache tiers are bounded by the config's caps — a warm power-delta
-//! request costs only the tiles whose bits changed (one word-compare
-//! scan finds them, and only their new cells are looked up or solved),
-//! which is the entire point of serving sessions instead of stateless
-//! requests. By default a warm
+//! Every worker shares one [`ChipEngine`] whose per-plan memos (one per
+//! session, bounded to 2¹⁶ tiles in total) sit in front of its matrix
+//! tier (bounded to 2¹⁰ factorizations) — a warm power-delta request
+//! costs only the tiles whose bits changed (one word-compare scan finds
+//! them, and only their new cells are solved, against a cached
+//! factorization), which is the entire point of serving sessions instead
+//! of stateless requests. By default a warm
 //! update also *answers* with only what changed: a delta response
 //! carrying the changed tiles and updated summary statistics
 //! (`?full=1` opts back into the full report; see `docs/PROTOCOL.md`).
@@ -126,6 +127,13 @@ const SPIN_WINDOW: Duration = Duration::from_micros(200);
 /// before the next service pass retries the poll.
 const POLL_ERROR_BACKOFF: Duration = Duration::from_millis(1);
 
+/// Memoized tiles the shared engine keeps across sessions (113 live
+/// 24×24 sessions) before it drops every memo and starts over.
+const ENGINE_MEMO_TILE_CAP: usize = 1 << 16;
+/// Factorizations the shared engine's matrix tier keeps (one per
+/// distinct geometry and via density).
+const ENGINE_MATRIX_CACHE_CAP: usize = 1 << 10;
+
 /// Locks a mutex, recovering from poisoning. Handler panics are caught
 /// at the request boundary, but a panic *while holding* a lock still
 /// poisons it; every protected structure here (session table, session
@@ -150,11 +158,6 @@ pub struct ServerConfig {
     pub session_shards: usize,
     /// Per-session tile quota (`nx · ny` at registration).
     pub max_tiles: usize,
-    /// Scenario-tier cache cap handed to the shared engine (it also
-    /// bounds the engine's plan memos, in tiles).
-    pub scenario_cache_cap: usize,
-    /// Matrix-tier cache cap handed to the shared engine.
-    pub matrix_cache_cap: usize,
     /// Per-connection read timeout (an idle keep-alive connection is
     /// dropped after this; a mid-request stall this long answers 408).
     pub read_timeout: Duration,
@@ -199,8 +202,6 @@ impl Default for ServerConfig {
             max_sessions: 64,
             session_shards: 8,
             max_tiles: 64 * 64,
-            scenario_cache_cap: 1 << 16,
-            matrix_cache_cap: 1 << 10,
             read_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(10),
             request_deadline: Duration::from_secs(60),
@@ -622,7 +623,7 @@ impl ServerState {
                 s.live, s.capacity, s.hits, s.misses, s.evictions
             ));
         }
-        let (scenario_entries, matrix_entries) = self.engine.cache_entries();
+        let (memo_tiles, matrix_entries) = self.engine.cache_entries();
         let persist = self.persist.snapshot();
         let persist_enabled = self.journal.as_ref().is_some_and(|j| j.is_enabled());
         format!(
@@ -635,7 +636,7 @@ impl ServerState {
              \"records_replayed\":{},\"recovered_sessions\":{},\"compactions\":{},\"write_errors\":{}}},\
              \"sessions\":{{\"live\":{},\"capacity\":{},\"hits\":{},\"misses\":{},\"evictions\":{},\"shards\":[{shards}]}},\
              \"engine\":{{\"solves\":{},\"factorizations\":{},\"scenario_hits\":{},\"scenario_misses\":{},\"evictions\":{},\
-             \"scenario_entries\":{scenario_entries},\"matrix_entries\":{matrix_entries}}}}}",
+             \"memo_tiles\":{memo_tiles},\"matrix_entries\":{matrix_entries}}}}}",
             snap.uptime_s,
             snap.requests,
             snap.ok_2xx,
@@ -669,8 +670,8 @@ impl ServerState {
             total.evictions,
             self.engine.solves(),
             self.engine.factorizations(),
-            self.engine.scenario_hits(),
-            self.engine.scenario_misses(),
+            self.engine.memo_hits(),
+            self.engine.solves(),
             self.engine.evictions(),
         )
     }
@@ -1426,8 +1427,8 @@ impl Server {
         let state = Arc::new(ServerState {
             engine: ChipEngine::new()
                 .with_workers(1)
-                .with_scenario_cache_cap(config.scenario_cache_cap)
-                .with_matrix_cache_cap(config.matrix_cache_cap),
+                .with_scenario_cache_cap(ENGINE_MEMO_TILE_CAP)
+                .with_matrix_cache_cap(ENGINE_MATRIX_CACHE_CAP),
             sessions,
             next_id: AtomicU64::new(recovery.as_ref().map_or(1, |r| r.next_id)),
             metrics: Metrics::new(),

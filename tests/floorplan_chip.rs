@@ -1,6 +1,7 @@
 //! Integration tests for the full-chip floorplan engine: a 32×32
-//! non-uniform hotspot map through the batch engine with cell dedup, FEM
-//! hierarchy reuse across cells, and the JSON report surface.
+//! non-uniform hotspot map through the batch engine with cell dedup, the
+//! factored path's shared factorization and per-plan memo, the 3-D
+//! Cartesian reference through the engine, and the JSON report surface.
 
 use ttsv::chip::{ChipEngine, Floorplan, PowerMap, ViaDensityMap};
 use ttsv::core::full_chip::CaseStudy;
@@ -48,7 +49,7 @@ fn hotspot_32x32_dedups_to_far_fewer_cells_than_tiles() {
 #[test]
 fn gradient_32x32_factored_path_shares_one_factorization_bitwise() {
     // All 1024 tiles carry distinct powers at uniform via density: the
-    // scenario-hash dedup can share nothing, but the matrix tier
+    // cell dedup can share nothing, but the matrix tier
     // collapses the whole chip onto ONE ladder factorization + 1024
     // back-substitutions — bit-identical to per-tile solves.
     let plan = gradient_floorplan(32);
@@ -69,9 +70,9 @@ fn gradient_32x32_factored_path_shares_one_factorization_bitwise() {
 #[test]
 fn serving_loop_re_solves_only_the_power_delta() {
     // The serving workload: evaluate, update one plane's power map in a
-    // few tiles, re-evaluate on the SAME engine — the cross-call
-    // scenario cache must confine the new solves to the changed tiles,
-    // and the factorization must be reused outright.
+    // few tiles, re-evaluate on the SAME engine — the plan's memo must
+    // confine the new solves to the changed tiles, and the factorization
+    // must be reused outright.
     let mut plan = gradient_floorplan(16);
     let model = ModelB::paper_b100();
     let engine = ChipEngine::new();

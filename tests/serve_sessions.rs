@@ -10,9 +10,9 @@
 //! * An LRU property test against a naive reference model (eviction
 //!   order, counter bookkeeping, capacity enforcement).
 //! * Post-eviction correctness: an engine squeezed to 1-entry caches
-//!   returns byte-identical responses (evictions change cost, never
-//!   results).
-//! * Engine accounting: `/metrics`' solve and scenario hit/miss counters
+//!   returns byte-identical reports to the server at its production
+//!   caps (evictions change cost, never results).
+//! * Engine accounting: `/metrics`' solve and memo hit/miss counters
 //!   add up to the work the returned reports describe.
 
 use proptest::prelude::*;
@@ -293,26 +293,40 @@ fn lru_quota_evicts_oldest_session_and_metrics_report_it() {
 
 #[test]
 fn tiny_engine_caches_change_cost_never_results() {
-    // Squeeze both engine tiers to one entry: every request thrashes the
-    // caches, yet the responses must stay byte-identical to the
-    // default-cap server and the direct evaluation.
-    let expected = direct_session(0);
-    let server = Server::start(
-        "127.0.0.1:0",
-        ServerConfig {
-            scenario_cache_cap: 1,
-            matrix_cache_cap: 1,
-            ..ServerConfig::default().with_workers(1)
-        },
-    )
-    .expect("bind ephemeral port");
+    // Squeeze both engine tiers to one entry: every evaluation thrashes
+    // the memo and the matrix cache, yet the reports must stay
+    // byte-identical to the server running at its production caps.
+    let engine = ChipEngine::new()
+        .with_workers(1)
+        .with_scenario_cache_cap(1)
+        .with_matrix_cache_cap(1);
+    let mut spec = parse_register(trace_register_body(GRID, 0).as_bytes()).expect("register");
+    let mut squeezed = vec![engine
+        .evaluate_factored(&spec.plan, &spec.model)
+        .expect("solvable")
+        .to_json()];
+    for round in 0..ROUNDS {
+        let (plane, map) =
+            parse_power_update(trace_power_body(GRID, 0, round).as_bytes(), &spec.plan)
+                .expect("power update");
+        spec.plan.update_power_map(plane, map).expect("same grid");
+        squeezed.push(
+            engine
+                .evaluate_factored(&spec.plan, &spec.model)
+                .expect("solvable")
+                .to_json(),
+        );
+    }
+    let server = Server::start("127.0.0.1:0", ServerConfig::default().with_workers(1))
+        .expect("bind ephemeral port");
     let got = drive_session(&server.addr().to_string(), 0);
-    assert_eq!(got, expected, "eviction pressure changed a response");
+    assert_eq!(got, squeezed, "eviction pressure changed a response");
+    assert_eq!(got, direct_session(0));
     server.shutdown();
 }
 
 /// Reads `/metrics`' engine block: `(solves, scenario_hits +
-/// scenario_misses)`.
+/// scenario_misses)` — memo hits plus solves.
 fn engine_counters(client: &mut Client) -> (usize, usize) {
     let (status, metrics) = client.request("GET", "/metrics", "").expect("metrics");
     assert_eq!(status, 200, "{metrics}");
