@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run --release -p ttsv-serve --bin serve -- \
 //!     [--addr 127.0.0.1:7071] [--workers N] [--event-loops N] \
-//!     [--max-sessions N] [--session-shards N] [--max-tiles N] \
+//!     [--max-sessions N] [--max-tiles N] \
 //!     [--queue-capacity N] [--max-connections N] [--max-pending-updates N] \
 //!     [--request-deadline-ms MS] [--write-timeout-ms MS] \
 //!     [--state-dir PATH] [--fsync always|interval[:MS]|never]
@@ -29,7 +29,7 @@ use ttsv_serve::server::{Server, ServerConfig};
 fn usage() -> ! {
     eprintln!(
         "usage: serve [--addr HOST:PORT] [--workers N] [--event-loops N] \
-         [--max-sessions N] [--session-shards N] [--max-tiles N] \
+         [--max-sessions N] [--max-tiles N] \
          [--queue-capacity N] [--max-connections N] [--max-pending-updates N] \
          [--request-deadline-ms MS] [--write-timeout-ms MS] \
          [--state-dir PATH] [--fsync always|interval[:MS]|never]"
@@ -67,9 +67,6 @@ fn main() {
             }
             "--max-sessions" => {
                 config = config.with_max_sessions(parse_flag(&mut args, "--max-sessions"));
-            }
-            "--session-shards" => {
-                config = config.with_session_shards(parse_flag(&mut args, "--session-shards"));
             }
             "--max-tiles" => config = config.with_max_tiles(parse_flag(&mut args, "--max-tiles")),
             "--queue-capacity" => {

@@ -19,9 +19,9 @@
 //!   multiplexed across a few event-loop threads that hand evaluations
 //!   to a bounded long-lived
 //!   [`WorkerPool`](ttsv_validate::pool::WorkerPool), shared capped
-//!   [`ChipEngine`](ttsv_chip::ChipEngine), sharded exact-LRU session
-//!   table with quotas, transactional power updates (staged, rolled
-//!   back on failure), `GET /metrics`,
+//!   [`ChipEngine`](ttsv_chip::ChipEngine), one exact-LRU session table
+//!   whose quota holds over all sessions, transactional power updates
+//!   (staged, rolled back on failure), `GET /metrics`,
 //! * [`poller`] — real `poll(2)` readiness for the event loops (a
 //!   hand-rolled std-only binding plus a self-pipe waker; the crate is
 //!   unix-only),
@@ -31,7 +31,7 @@
 //!   answers bitwise-identical reports after a restart; snapshot
 //!   compaction; configurable fsync policy; graceful degradation on
 //!   journal I/O errors,
-//! * [`lru`] / [`metrics`] — the sharded session cache and the request
+//! * [`lru`] / [`metrics`] — the exact-LRU session cache and the request
 //!   counters/latency histogram behind it,
 //! * [`client`] — a blocking keep-alive client plus the deterministic
 //!   power-trace replay `bench-client` and CI share.

@@ -10,10 +10,8 @@
 //!   runner ([`sweep::run_batch_with_workers`], which the `ttsv-chip`
 //!   floorplan engine evaluates its unit cells on) plus the
 //!   parameter-sweep wrapper over it,
-//! * [`pool`] — the execution substrate behind [`sweep`]: the scoped
-//!   borrow-friendly batch core plus the long-lived bounded
-//!   [`WorkerPool`](pool::WorkerPool) the `ttsv-serve` session server
-//!   hands its connections to,
+//! * [`pool`] — the long-lived bounded [`WorkerPool`](pool::WorkerPool)
+//!   the `ttsv-serve` session server hands its connections to,
 //! * [`calibrate`] — fits Model A's `k₁`/`k₂` against the FEM reference,
 //!   the way the paper fits against COMSOL,
 //! * [`experiments`] — one constructor per paper artifact (Figs. 4–7,

@@ -6,17 +6,17 @@
 //! problem: run `count` independent jobs on a bounded pool of worker
 //! threads, at most `available_parallelism()` of them, that claim jobs one
 //! at a time from a shared atomic queue (self-scheduling work
-//! distribution). [`run_batch_with_workers`] is that primitive — since
-//! PR 6 a thin wrapper over [`crate::pool::scoped_batch`], which also runs
-//! single-worker batches inline (no spawn at all, the serving fast path);
-//! the long-lived [`crate::pool::WorkerPool`] shares the same
-//! self-scheduling core for `'static` jobs such as a server's connections.
+//! distribution). [`run_batch_with_workers`] is that primitive. It runs
+//! single-worker batches inline (no spawn at all): that is the serving
+//! fast path, where the server's long-lived
+//! [`WorkerPool`](crate::pool::WorkerPool) already provides the
+//! request-level parallelism and nested spawns would only add latency.
 //! [`run_sweep`] is the figure-shaped wrapper on top. Dense batches
 //! of 100+ jobs therefore never oversubscribe the machine, and expensive
 //! jobs naturally load-balance across workers. Evaluation order within a
-//! batch is unspecified; the results come back in job order regardless,
-//! and models with internal caches (the Cartesian reference's multigrid
-//! hierarchy pool) share them across workers.
+//! batch is unspecified; the results come back in job order regardless.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ttsv_core::scenario::{Scenario, ThermalModel};
 use ttsv_core::CoreError;
@@ -61,15 +61,18 @@ pub fn default_workers() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs `count` independent jobs on a bounded self-scheduling worker pool
+/// Runs `count` independent jobs on at most `workers` scoped threads
 /// and returns the results in job order. This is the generic primitive
-/// behind [`run_sweep`], delegating to [`crate::pool::scoped_batch`]:
-/// workers claim job indices one at a time from a shared atomic counter,
-/// so expensive jobs load-balance and the pool never oversubscribes, and
-/// `workers == 1` evaluates inline on the caller's thread (no spawn).
-/// `eval(i)` must be safe to call from any worker (jobs are independent);
-/// for deterministic `eval`, the returned vector is identical for every
-/// `workers` value.
+/// behind [`run_sweep`]: workers claim job indices one at a time from a
+/// shared atomic counter, so expensive jobs load-balance and the pool
+/// never oversubscribes, and `workers == 1` evaluates inline on the
+/// caller's thread (no spawn). `eval` may borrow from the caller's
+/// stack — the reason this path uses `std::thread::scope` instead of the
+/// persistent [`WorkerPool`](crate::pool::WorkerPool): safe Rust cannot
+/// hand a stack borrow to threads that outlive the call. `eval(i)` must
+/// be safe to call from any worker (jobs are independent); for
+/// deterministic `eval`, the returned vector is bitwise identical for
+/// every `workers` value.
 ///
 /// # Panics
 ///
@@ -84,7 +87,48 @@ where
     E: Send,
     F: Fn(usize) -> Result<T, E> + Sync,
 {
-    crate::pool::scoped_batch(count, workers, eval)
+    assert!(workers > 0, "need at least one batch worker");
+    if count == 0 {
+        return Ok(Vec::new());
+    }
+    let workers = workers.min(count);
+    if workers == 1 {
+        // Inline fast path: identical job order, no thread at all. This is
+        // what keeps a serving request's engine evaluation spawn-free.
+        return (0..count).map(&eval).collect();
+    }
+
+    let next = AtomicUsize::new(0);
+    let mut results: Vec<Option<Result<T, E>>> = Vec::new();
+    results.resize_with(count, || None);
+
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut out = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= count {
+                            break;
+                        }
+                        out.push((i, eval(i)));
+                    }
+                    out
+                })
+            })
+            .collect();
+        for handle in handles {
+            for (i, result) in handle.join().expect("batch worker panicked") {
+                results[i] = Some(result);
+            }
+        }
+    });
+
+    results
+        .into_iter()
+        .map(|r| r.expect("every job evaluated"))
+        .collect()
 }
 
 /// Evaluates every `(x, scenario)` pair with every model, in parallel over
@@ -143,6 +187,7 @@ pub fn total_seconds(points: &[SweepPoint], model_index: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
     use ttsv_core::prelude::*;
 
     fn radius_points(radii: &[f64]) -> Vec<(f64, Scenario)> {
@@ -266,6 +311,28 @@ mod tests {
     #[should_panic(expected = "at least one batch worker")]
     fn zero_workers_rejected() {
         let _ = run_batch_with_workers::<usize, CoreError, _>(3, 0, Ok);
+    }
+
+    #[test]
+    fn scoped_batch_single_worker_runs_inline() {
+        let caller = std::thread::current().id();
+        let ran_on = Mutex::new(Vec::new());
+        run_batch_with_workers::<_, String, _>(5, 1, |i| {
+            ran_on.lock().unwrap().push(std::thread::current().id());
+            Ok(i)
+        })
+        .unwrap();
+        assert!(ran_on.lock().unwrap().iter().all(|&id| id == caller));
+    }
+
+    #[test]
+    fn scoped_batch_matches_for_any_worker_count() {
+        let expect: Vec<usize> = (0..40).map(|i| i * 7 + 1).collect();
+        for workers in [1, 2, 5, 64] {
+            let got =
+                run_batch_with_workers::<_, String, _>(40, workers, |i| Ok(i * 7 + 1)).unwrap();
+            assert_eq!(got, expect, "workers = {workers}");
+        }
     }
 
     #[test]

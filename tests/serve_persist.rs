@@ -15,7 +15,9 @@
 //!   a valid prefix, with the replayed record count monotone in the
 //!   truncation point.
 //! * **Tombstones are respected** — a session that was LRU-evicted or
-//!   explicitly `DELETE`d before the crash stays gone after recovery.
+//!   explicitly `DELETE`d before the crash stays gone after recovery,
+//!   and an over-quota recovery keeps the most recently touched
+//!   sessions and journals the others' eviction.
 //! * **Write faults degrade, not kill** — a journal whose writes fail
 //!   disables persistence (counted in `/metrics`) while serving
 //!   continues bitwise-correct.
@@ -314,6 +316,65 @@ fn eviction_and_delete_tombstones_survive_restart() {
     assert_eq!(body, expected[0], "the survivor answers bitwise");
     drop(client);
     server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Restarting below the live session count keeps the most recently
+/// touched sessions, whatever their ids, and journals the others'
+/// eviction tombstones: four sessions updated in the order 2, 4, 1, 3
+/// restart at quota 2 as sessions 1 and 3 (bitwise), and a second
+/// restart back at quota 4 still recovers only those two.
+#[test]
+fn over_quota_recovery_keeps_the_most_recent_sessions() {
+    let dir = state_dir("over-quota");
+    let config = |quota| {
+        ServerConfig::default()
+            .with_workers(1)
+            .with_max_sessions(quota)
+            .with_state_dir(&dir)
+    };
+    let server = Server::start("127.0.0.1:0", config(4)).expect("bind ephemeral port");
+    let mut client = Client::connect(&server.addr().to_string()).expect("connect");
+    let ids: Vec<u64> = (0..4).map(|s| seed_session(&mut client, s, 0)).collect();
+    assert_eq!(ids, [1, 2, 3, 4]);
+    for id in [2, 4, 1, 3] {
+        let s = (id - 1) as usize;
+        let (status, body) = client
+            .request(
+                "POST",
+                &format!("/sessions/{id}/power"),
+                &trace_power_body(GRID, s, 0),
+            )
+            .expect("power update");
+        assert_eq!(status, 200, "{body}");
+    }
+    drop(client);
+    server.abort();
+
+    for (quota, recovered) in [(2, 4), (4, 2)] {
+        let server = Server::start("127.0.0.1:0", config(quota)).expect("restart");
+        let addr = server.addr().to_string();
+        assert_eq!(
+            persist_field(&persistence_metrics(&addr), "recovered_sessions"),
+            recovered,
+            "restart at quota {quota}"
+        );
+        let mut client = Client::connect(&addr).expect("reconnect");
+        for id in [1u64, 2, 3, 4] {
+            let (status, body) = client
+                .request("GET", &format!("/sessions/{id}"), "")
+                .expect("read session");
+            if id % 2 == 1 {
+                assert_eq!(status, 200, "session {id} at quota {quota}: {body}");
+                let expected = &direct_session((id - 1) as usize)[1];
+                assert_eq!(&body, expected, "session {id} recovered bitwise");
+            } else {
+                assert_eq!(status, 404, "session {id} at quota {quota}: {body}");
+            }
+        }
+        drop(client);
+        server.abort();
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

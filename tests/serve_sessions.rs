@@ -6,9 +6,11 @@
 //!   through a fresh `ChipEngine` — at 1, 2, and N server workers.
 //! * Session quotas: the exact-LRU table evicts the least-recently-used
 //!   session past `max_sessions` (404 afterwards, counted in
-//!   `/metrics`), and oversized registrations bounce with 413.
-//! * An LRU property test against a naive reference model (eviction
-//!   order, counter bookkeeping, capacity enforcement).
+//!   `/metrics`), the quota holds over all sessions whatever their ids,
+//!   and oversized registrations bounce with 413.
+//! * An LRU property test of the server's session-table type against a
+//!   naive reference model (eviction order, counter bookkeeping,
+//!   capacity enforcement).
 //! * Post-eviction correctness: an engine squeezed to 1-entry caches
 //!   returns byte-identical reports to the server at its production
 //!   caps (evictions change cost, never results).
@@ -168,20 +170,19 @@ fn delta_responses_reconcile_bitwise_with_full_reports() {
 }
 
 /// The multiplexed path at 32 concurrent connections: responses stay
-/// bitwise deterministic no matter how many workers, event loops, or
-/// session shards serve them, since every body compares against the
-/// same direct-evaluation ground truth.
+/// bitwise deterministic no matter how many workers or event loops
+/// serve them, since every body compares against the same
+/// direct-evaluation ground truth.
 #[test]
 fn thirty_two_concurrent_connections_stay_deterministic() {
     const FANOUT: usize = 32;
     let expected: Vec<Vec<String>> = (0..FANOUT).map(direct_session).collect();
-    for (workers, event_loops, shards) in [(1, 1, 1), (2, 2, 8), (4, 3, 5)] {
+    for (workers, event_loops) in [(1, 1), (2, 2), (4, 3)] {
         let server = Server::start(
             "127.0.0.1:0",
             ServerConfig::default()
                 .with_workers(workers)
                 .with_event_loops(event_loops)
-                .with_session_shards(shards)
                 .with_max_connections(2 * FANOUT)
                 .with_queue_capacity(2 * FANOUT),
         )
@@ -197,8 +198,7 @@ fn thirty_two_concurrent_connections_stay_deterministic() {
             let got = handle.join().expect("client thread");
             assert_eq!(
                 got, expected[s],
-                "session {s} diverged at {workers} workers / {event_loops} loops / \
-                 {shards} shards"
+                "session {s} diverged at {workers} workers / {event_loops} loops"
             );
         }
         server.shutdown();
@@ -288,6 +288,113 @@ fn lru_quota_evicts_oldest_session_and_metrics_report_it() {
         .and_then(|v| v.as_usize())
         .is_some());
     assert!(doc.get("latency_ns").and_then(|l| l.get("p99")).is_some());
+    server.shutdown();
+}
+
+/// Registers `session`'s trace floorplan, returning the allocated id.
+fn register(client: &mut Client, session: usize) -> u64 {
+    let (status, body) = client
+        .request("POST", "/sessions", &trace_register_body(GRID, session))
+        .expect("register");
+    assert_eq!(status, 201, "{body}");
+    body.strip_prefix("{\"session\":")
+        .and_then(|rest| rest.split_once(','))
+        .and_then(|(id, _)| id.parse().ok())
+        .expect("numeric session id")
+}
+
+/// Pins the `/metrics` sessions-block accounting after `registered`
+/// registrations and `deleted` deletes: `live == registered − deleted −
+/// evictions` and `live ≤ capacity`. Returns `(live, evictions)`.
+fn assert_session_accounting(
+    client: &mut Client,
+    registered: usize,
+    deleted: usize,
+) -> (usize, usize) {
+    let (status, metrics) = client.request("GET", "/metrics", "").expect("metrics");
+    assert_eq!(status, 200, "{metrics}");
+    let doc = serde::json::from_str(&metrics).expect("metrics endpoint emits valid JSON");
+    let sessions = doc.get("sessions").expect("sessions block");
+    let read = |name: &str| {
+        sessions
+            .get(name)
+            .and_then(|v| v.as_usize())
+            .unwrap_or_else(|| panic!("sessions.{name} in {metrics}"))
+    };
+    let (live, capacity, evictions) = (read("live"), read("capacity"), read("evictions"));
+    assert_eq!(
+        live + deleted + evictions,
+        registered,
+        "live == registered - deleted - evictions: {metrics}"
+    );
+    assert!(live <= capacity, "live exceeds the quota: {metrics}");
+    (live, evictions)
+}
+
+/// The session quota is one exact LRU over all sessions, whatever their
+/// ids: nine live sessions whose ids share a residue mod 8 all stay
+/// (a table split by `id % 8` would evict one at its eighth), and past
+/// the quota exactly the least recently touched session goes.
+#[test]
+fn session_quota_is_global() {
+    let server = Server::start("127.0.0.1:0", ServerConfig::default().with_workers(1))
+        .expect("bind ephemeral port");
+    let quota = ServerConfig::default().max_sessions;
+    let mut client = Client::connect(&server.addr().to_string()).expect("connect");
+    let (mut registered, mut deleted) = (0, 0);
+    let mut kept = Vec::new();
+    for s in 0..=quota {
+        let id = register(&mut client, s);
+        registered += 1;
+        assert_session_accounting(&mut client, registered, deleted);
+        if id % 8 == 1 {
+            kept.push(id);
+        } else {
+            let (status, body) = client
+                .request("DELETE", &format!("/sessions/{id}"), "")
+                .expect("delete");
+            assert_eq!(status, 204, "{body}");
+            deleted += 1;
+            assert_session_accounting(&mut client, registered, deleted);
+        }
+    }
+    assert_eq!(kept, [1, 9, 17, 25, 33, 41, 49, 57, 65]);
+    for &id in &kept {
+        let (status, body) = client
+            .request("GET", &format!("/sessions/{id}"), "")
+            .expect("read kept session");
+        assert_eq!(status, 200, "session {id} must survive: {body}");
+    }
+    let (live, evictions) = assert_session_accounting(&mut client, registered, deleted);
+    assert_eq!((live, evictions), (kept.len(), 0), "nothing is over quota");
+
+    // Fill to the quota: still no eviction.
+    let mut live_ids = kept.clone();
+    for s in 0..quota - kept.len() {
+        live_ids.push(register(&mut client, s));
+        registered += 1;
+        let (_, evictions) = assert_session_accounting(&mut client, registered, deleted);
+        assert_eq!(
+            evictions, 0,
+            "registration {registered} is within the quota"
+        );
+    }
+    // The kept sessions were read in id order before the fill, so
+    // touching session 1 leaves session 9 the least recently touched.
+    let (status, body) = client.request("GET", "/sessions/1", "").expect("touch");
+    assert_eq!(status, 200, "{body}");
+    live_ids.push(register(&mut client, quota + 1));
+    registered += 1;
+    let (live, evictions) = assert_session_accounting(&mut client, registered, deleted);
+    assert_eq!((live, evictions), (quota, 1));
+    for id in live_ids {
+        let (status, body) = client
+            .request("GET", &format!("/sessions/{id}"), "")
+            .expect("read session");
+        let expected = if id == 9 { 404 } else { 200 };
+        assert_eq!(status, expected, "session {id}: {body}");
+    }
+    assert_session_accounting(&mut client, registered, deleted);
     server.shutdown();
 }
 
@@ -421,14 +528,14 @@ fn engine_counters_account_for_every_returned_report() {
 #[derive(Default)]
 struct ModelLru {
     capacity: usize,
-    entries: Vec<(u8, u32)>,
+    entries: Vec<(u64, u32)>,
     hits: u64,
     misses: u64,
     evictions: u64,
 }
 
 impl ModelLru {
-    fn get(&mut self, key: u8) -> Option<u32> {
+    fn get(&mut self, key: u64) -> Option<u32> {
         if let Some(i) = self.entries.iter().position(|(k, _)| *k == key) {
             self.hits += 1;
             let entry = self.entries.remove(i);
@@ -440,7 +547,7 @@ impl ModelLru {
         }
     }
 
-    fn insert(&mut self, key: u8, value: u32) -> Option<(u8, u32)> {
+    fn insert(&mut self, key: u64, value: u32) -> Option<(u64, u32)> {
         if let Some(i) = self.entries.iter().position(|(k, _)| *k == key) {
             self.entries.remove(i);
         }
@@ -453,7 +560,7 @@ impl ModelLru {
         }
     }
 
-    fn remove(&mut self, key: u8) -> Option<u32> {
+    fn remove(&mut self, key: u64) -> Option<u32> {
         let i = self.entries.iter().position(|(k, _)| *k == key)?;
         Some(self.entries.remove(i).1)
     }
@@ -462,12 +569,13 @@ impl ModelLru {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    // The serving LRU agrees with the naive model on every observable:
-    // lookups, eviction victims, recency order, counters, and length.
+    // The server's session table (an `LruCache` keyed by session id)
+    // agrees with the naive model on every observable: lookups,
+    // eviction victims, recency order, counters, and length.
     #[test]
     fn lru_matches_the_reference_model(
         capacity in 1usize..6,
-        ops in prop::collection::vec((0usize..3, 0u8..8, 0u32..100), 1..60),
+        ops in prop::collection::vec((0usize..3, 0u64..8, 0u32..100), 1..60),
     ) {
         let mut real = LruCache::new(capacity);
         let mut model = ModelLru { capacity, ..ModelLru::default() };
@@ -479,8 +587,8 @@ proptest! {
             }
             prop_assert_eq!(real.len(), model.entries.len());
             prop_assert!(real.len() <= capacity, "capacity violated");
-            let real_order: Vec<u8> = real.keys().copied().collect();
-            let model_order: Vec<u8> = model.entries.iter().map(|(k, _)| *k).collect();
+            let real_order: Vec<u64> = real.keys().copied().collect();
+            let model_order: Vec<u64> = model.entries.iter().map(|(k, _)| *k).collect();
             prop_assert_eq!(real_order, model_order);
             prop_assert_eq!(
                 (real.hits(), real.misses(), real.evictions()),
