@@ -4,7 +4,7 @@
 //!
 //! Usage:
 //! `cargo run --release -p ttsv-bench --bin bench_json [-- PATH [--check COMMITTED]]`
-//! (default output: `BENCH_10.json` in the current directory). With
+//! (default output: `BENCH_19.json` in the current directory). With
 //! `--check COMMITTED`, the freshly measured medians are compared against
 //! the committed recording and the process exits nonzero if any shared
 //! row regressed more than 1.5× — the CI regression guard. See the
@@ -26,36 +26,21 @@ const TARGET_SAMPLES: usize = 15;
 const CHECK_HEADROOM_NUM: u128 = 3;
 const CHECK_HEADROOM_DEN: u128 = 2;
 
-/// PR-9 numbers for the carried-over workloads (the medians recorded in
-/// the committed `BENCH_9.json`) — the baseline the PR-10 acceptance
-/// criteria compare against. Every `serve/*` row recorded here was
-/// measured on a server with persistence off, so they price exactly
-/// what the write-ahead journal must not regress when it is disabled;
-/// `serve/warm_delta_journaled` is new in PR 10 and has no earlier
-/// baseline (its pin is same-run: < 2× `serve/warm_delta_response`).
-const BASELINE_PR9_NS: &[(&str, u128)] = &[
-    ("fig4_radius_sweep/fem_coarse", 676_613),
-    ("fig4_radius_sweep/model_b_100", 77_122),
-    ("table1_segments/B(500)", 64_986),
-    ("table1_segments/B(1000)", 172_017),
-    ("ablation_fem_precond/direct_banded/coarse", 96_795),
-    ("mg_hierarchy/refresh_flat/box32k", 6_375_282),
-    ("fem_mg_sweep/rebuild", 93_949_634),
-    ("fem_mg_sweep/reuse", 73_632_158),
-    ("floorplan_chip/hotspot32/model_b100", 122_667),
-    ("floorplan_chip/gradient32/model_b100", 15_519_996),
-    ("floorplan_chip/gradient32/factor_shared", 2_649_204),
-    ("sweep_runner/fig4_quick", 832_982),
-    ("serve/cold_session", 3_668_501),
-    ("serve/warm_delta", 161_472),
-    ("serve/warm_delta_response", 151_863),
-    ("serve/sustained_32req", 4_749_031),
-    ("serve/sustained_fanout", 6_250_026),
-    ("serve/parked_request", 49_313),
-];
+/// Output path when none is given: the record this tree is measured
+/// against. Its `BENCH_<n>` number becomes the file's `"pr"` tag.
+const DEFAULT_PATH: &str = "BENCH_19.json";
+
+/// One timed row: its median, the median absolute deviation of its
+/// samples (the spread), and the sample count, all over the same samples.
+struct Row {
+    name: String,
+    median: u128,
+    mad: u128,
+    samples: usize,
+}
 
 struct Sampler {
-    results: Vec<(String, u128, usize)>,
+    results: Vec<Row>,
 }
 
 impl Sampler {
@@ -82,39 +67,74 @@ impl Sampler {
             std::hint::black_box(f());
             samples.push(t.elapsed().as_nanos());
         }
-        samples.sort_unstable();
-        let median = samples[samples.len() / 2];
+        let median = median_of(&mut samples);
+        let mut deviations: Vec<u128> = samples.iter().map(|s| s.abs_diff(median)).collect();
+        let mad = median_of(&mut deviations);
         eprintln!(
-            "{name:<50} median {median:>12} ns ({} samples)",
+            "{name:<50} median {median:>12} ns  mad {mad:>10} ns ({} samples)",
             samples.len()
         );
-        self.results.push((name.to_string(), median, samples.len()));
+        self.results.push(Row {
+            name: name.to_string(),
+            median,
+            mad,
+            samples: samples.len(),
+        });
     }
 
-    fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": \"ttsv-bench-json/1\",\n  \"pr\": 10,\n");
+    /// The record: schema, `"pr"` (from a `BENCH_<n>.json` output name),
+    /// the host, then one row per bench.
+    fn to_json(&self, path: &str) -> String {
+        let mut out = String::from("{\n  \"schema\": \"ttsv-bench-json/1\",\n");
+        if let Some(pr) = record_number(path) {
+            out.push_str(&format!("  \"pr\": {pr},\n"));
+        }
         out.push_str(
             "  \"generated_by\": \"cargo run --release -p ttsv-bench --bin bench_json\",\n",
         );
+        let cores = std::thread::available_parallelism().map_or(0, usize::from);
+        out.push_str(&format!("  \"host_cores\": {cores},\n"));
+        out.push_str(&format!("  \"host_cpu\": \"{}\",\n", cpu_model()));
         out.push_str("  \"benches\": {\n");
-        for (i, (name, median, samples)) in self.results.iter().enumerate() {
+        for (i, row) in self.results.iter().enumerate() {
             let comma = if i + 1 < self.results.len() { "," } else { "" };
             out.push_str(&format!(
-                "    \"{name}\": {{\"median_ns\": {median}, \"samples\": {samples}}}{comma}\n"
+                "    \"{}\": {{\"median_ns\": {}, \"mad_ns\": {}, \"samples\": {}}}{comma}\n",
+                row.name, row.median, row.mad, row.samples
             ));
-        }
-        out.push_str("  },\n  \"baseline_pr9_ns\": {\n");
-        for (i, (name, ns)) in BASELINE_PR9_NS.iter().enumerate() {
-            let comma = if i + 1 < BASELINE_PR9_NS.len() {
-                ","
-            } else {
-                ""
-            };
-            out.push_str(&format!("    \"{name}\": {ns}{comma}\n"));
         }
         out.push_str("  }\n}\n");
         out
     }
+}
+
+/// The upper median of `values` (sorts them in place).
+fn median_of(values: &mut [u128]) -> u128 {
+    values.sort_unstable();
+    values[values.len() / 2]
+}
+
+/// `n` for an output file named `BENCH_<n>.json`.
+fn record_number(path: &str) -> Option<u32> {
+    std::path::Path::new(path)
+        .file_name()?
+        .to_str()?
+        .strip_prefix("BENCH_")?
+        .strip_suffix(".json")?
+        .parse()
+        .ok()
+}
+
+/// The CPU model from `/proc/cpuinfo`, or `"unknown"` where there is none.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find_map(|l| l.strip_prefix("model name")?.split_once(':'))
+                .map(|(_, model)| model.trim().replace(['"', '\\'], ""))
+        })
+        .unwrap_or_else(|| "unknown".into())
 }
 
 /// Extracts `(key, median_ns)` pairs from a committed `bench_json` file's
@@ -173,7 +193,7 @@ fn main() {
         .enumerate()
         .find(|&(i, a)| !a.starts_with("--") && Some(i) != check_pos.map(|c| c + 1))
         .map(|(_, a)| a.clone())
-        .unwrap_or_else(|| "BENCH_10.json".into());
+        .unwrap_or_else(|| DEFAULT_PATH.into());
     if check_against.as_deref() == Some(path.as_str()) {
         eprintln!("--check target and output path are the same file ({path}) — refusing");
         std::process::exit(2);
@@ -512,7 +532,7 @@ fn main() {
         let _ = std::fs::remove_dir_all(&state_dir);
     }
 
-    let json = sampler.to_json();
+    let json = sampler.to_json(&path);
     std::fs::write(&path, &json).expect("write BENCH json");
     println!("wrote {path}");
 
@@ -521,11 +541,12 @@ fn main() {
             .unwrap_or_else(|e| panic!("read committed {committed_path}: {e}"));
         let committed = committed_medians(&committed);
         let mut regressions = Vec::new();
-        for (name, fresh, _) in &sampler.results {
-            if let Some((_, recorded)) = committed.iter().find(|(k, _)| k == name) {
-                if *fresh * CHECK_HEADROOM_DEN > recorded * CHECK_HEADROOM_NUM {
+        for row in &sampler.results {
+            if let Some((_, recorded)) = committed.iter().find(|(k, _)| *k == row.name) {
+                if row.median * CHECK_HEADROOM_DEN > recorded * CHECK_HEADROOM_NUM {
                     regressions.push(format!(
-                        "{name}: {fresh} ns vs committed {recorded} ns (> 1.5×)"
+                        "{}: {} ns vs committed {recorded} ns (> 1.5×)",
+                        row.name, row.median
                     ));
                 }
             }

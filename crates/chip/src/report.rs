@@ -56,10 +56,12 @@ impl ChipReport {
         assert_eq!(delta_t.len(), tiles, "ΔT map must cover every tile");
 
         let mut max_delta_t = f64::NEG_INFINITY;
+        let mut min_delta_t = f64::INFINITY;
         let mut argmax = 0;
         let mut sum = 0.0;
         for (i, &dt) in delta_t.iter().enumerate() {
             sum += dt;
+            min_delta_t = min_delta_t.min(dt);
             if dt > max_delta_t {
                 max_delta_t = dt;
                 argmax = i;
@@ -71,7 +73,9 @@ impl ChipReport {
             nx,
             ny,
             max_delta_t,
-            mean_delta_t: sum / tiles as f64,
+            // The rounded sum can put the mean an ulp outside the tile
+            // range (a uniform map's mean above its max); keep it inside.
+            mean_delta_t: (sum / tiles as f64).clamp(min_delta_t, max_delta_t),
             p99_delta_t: percentile(&mut scratch, 0.99),
             argmax_ix: argmax % nx,
             argmax_iy: argmax / nx,
@@ -127,6 +131,16 @@ mod tests {
         assert_eq!(report.mean_delta_t, 2.5);
         assert_eq!(report.p99_delta_t, 4.0);
         assert_eq!(report.get(0, 1), 2.0);
+    }
+
+    #[test]
+    fn uniform_map_mean_equals_its_max() {
+        // Summing 16 copies of this value rounds up, so the plain
+        // sum / 16 lands an ulp above every tile.
+        let t = 12.597_634_459_651_36;
+        assert!([t; 16].iter().sum::<f64>() / 16.0 > t);
+        let report = ChipReport::from_tiles("test".into(), 4, 4, vec![t; 16], 1, 16.0);
+        assert_eq!(report.mean_delta_t, report.max_delta_t);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! Through-Silicon Vias", DATE 2011*:
 //!
 //! * [`ModelA`](model_a::ModelA) — the compact per-plane resistive network
-//!   (paper §II, eqs. 1–16) with fitting coefficients `k₁`/`k₂`,
+//!   (paper §II, eqs. 1–16) with fitting coefficients `k₁`/`k₂`, solved
+//!   as Model B's ladder with one lumped segment per plane,
 //! * [`ModelB`](model_b::ModelB) — the distributed π-segment ladder
 //!   (paper §III, eqs. 17–21) with no fitting coefficients,
 //! * [`OneDModel`](one_d::OneDModel) — the traditional 1-D baseline the

@@ -6,12 +6,31 @@
 //! (eq. 1). Heat `q_j` enters at each plane's bulk node, and the whole
 //! stack drains through the lumped substrate resistance `R_s` (eq. 16),
 //! giving `T₀ = R_s·Σq` (eq. 6).
+//!
+//! # Solved on Model B's ladder
+//!
+//! This network is Model B's π-ladder ([`crate::model_b`]) with one
+//! lumped segment per plane: the segment's bulk, fill and lateral
+//! resistances are eqs. 7–15 (with the fitting coefficients), and the
+//! ladder drains through the fitted `R_s`. So [`ModelA::solve`] runs the
+//! ladder's block-tridiagonal factorization and back-substitution, with
+//! no assembly of its own.
+//!
+//! The ladder keeps a via node on the top plane, which Fig. 2 merges
+//! away. That node carries no heat source, so KCL makes its temperature
+//! the conductance-weighted mean of its two neighbours: the top bulk
+//! node (through `R_lat`) and the via node below (through `R_fill`).
+//! Eliminating it therefore leaves exactly eq. 1's series branch
+//! `R_fill + R_lat` and changes no other temperature. Being a mean, its
+//! temperature lies between its neighbours', so it never sets the
+//! maximum; the solution reports it as `None` and leaves it out of
+//! `Max ΔT`.
 
-use ttsv_network::{NodeId, Terminal, ThermalNetwork};
 use ttsv_units::{Power, TemperatureDelta};
 
 use crate::error::CoreError;
 use crate::fitting::FittingCoefficients;
+use crate::model_b::{solve_block_tridiag, PlaneSegments, Segment, Segmentation};
 use crate::resistances::{model_a_resistances, ModelAResistances};
 use crate::scenario::{Scenario, ThermalModel};
 
@@ -50,81 +69,65 @@ impl ModelA {
         &self.fit
     }
 
-    /// Solves the compact network for a scenario.
+    /// Solves the compact network for a scenario, as Model B's ladder
+    /// with one lumped segment per plane (see the module docs).
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Network`] if the KCL solve fails (cannot happen
-    /// for validated scenarios) and propagates scenario validation errors.
+    /// Returns [`CoreError::Linalg`] if the ladder factorization meets a
+    /// singular pivot, which cannot happen for a validated scenario (its
+    /// resistances are finite and positive).
     pub fn solve(&self, scenario: &Scenario) -> Result<ModelASolution, CoreError> {
         let resistances = model_a_resistances(scenario.stack(), scenario.tsv(), &self.fit);
         let n = scenario.stack().plane_count();
 
-        let mut net = ThermalNetwork::new();
-        let t0 = net.add_node("substrate.top (T0)");
-        net.add_resistor(t0, Terminal::Ground, resistances.substrate);
-
-        // Bulk/via node per non-top plane; single merged node for the top.
-        let mut bulk: Vec<NodeId> = Vec::with_capacity(n);
-        let mut via: Vec<Option<NodeId>> = Vec::with_capacity(n);
-        for j in 0..n {
-            if j + 1 == n {
-                bulk.push(net.add_node(format!("plane{}.top", j + 1)));
-                via.push(None);
-            } else {
-                bulk.push(net.add_node(format!("plane{}.bulk", j + 1)));
-                via.push(Some(net.add_node(format!("plane{}.via", j + 1))));
-            }
-        }
-
-        for j in 0..n {
-            let r = &resistances.planes[j];
-            let (below_bulk, below_via) = if j == 0 {
-                (t0, t0)
-            } else {
-                (bulk[j - 1], via[j - 1].expect("below top"))
-            };
-            if let Some(v) = via[j] {
-                // Non-top plane: three separate resistors.
-                net.add_resistor(bulk[j], below_bulk, r.bulk);
-                net.add_resistor(v, below_via, r.fill);
-                net.add_resistor(bulk[j], v, r.liner_lateral);
-            } else {
-                // Top plane: bulk resistor plus the series via branch
-                // R_fill + R_lat from the merged node (eq. 1).
-                net.add_resistor(bulk[j], below_bulk, r.bulk);
-                net.add_resistor(bulk[j], below_via, r.fill + r.liner_lateral);
-            }
-            net.add_source(bulk[j], scenario.plane_powers()[j]);
-        }
-
-        let solution = net.solve()?;
-        let t0_val = solution.temperature(t0);
-        let bulk_temps: Vec<TemperatureDelta> =
-            bulk.iter().map(|b| solution.temperature(*b)).collect();
-        let via_temps: Vec<Option<TemperatureDelta>> = via
+        let segments: Vec<Segment> = resistances
+            .planes
             .iter()
-            .map(|v| v.map(|v| solution.temperature(v)))
+            .zip(scenario.plane_powers())
+            .map(|(r, q)| Segment {
+                r_bulk: r.bulk.as_kelvin_per_watt(),
+                r_fill: r.fill.as_kelvin_per_watt(),
+                r_lat: r.liner_lateral.as_kelvin_per_watt(),
+                heat: q.as_watts(),
+            })
             .collect();
-        let max = bulk_temps
+        let lumped = Segmentation::explicit(vec![PlaneSegments { silicon: 0, ild: 1 }; n]);
+        let ladder = solve_block_tridiag(
+            scenario,
+            &lumped,
+            &segments,
+            resistances.substrate.as_kelvin_per_watt(),
+        )?;
+
+        let t0 = ladder.t0();
+        let bulk = ladder.bulk_profile().to_vec();
+        // The top plane's via node is the one Fig. 2 merges away.
+        let via: Vec<Option<TemperatureDelta>> = ladder
+            .via_profile()
             .iter()
-            .chain(via_temps.iter().flatten())
-            .chain(std::iter::once(&t0_val))
+            .enumerate()
+            .map(|(j, &t)| (j + 1 < n).then_some(t))
+            .collect();
+        let max = bulk
+            .iter()
+            .chain(via.iter().flatten())
+            .chain(std::iter::once(&t0))
             .copied()
             .fold(TemperatureDelta::ZERO, TemperatureDelta::max);
 
         Ok(ModelASolution {
             resistances,
-            t0: t0_val,
-            bulk: bulk_temps,
-            via: via_temps,
+            t0,
+            bulk,
+            via,
             max,
         })
     }
 
     /// Solves the three-plane system by direct transcription of the paper's
     /// eqs. (1)–(6) into a 5×5 linear system — an independent cross-check of
-    /// the network formulation used by [`ModelA::solve`].
+    /// the ladder solve used by [`ModelA::solve`].
     ///
     /// # Errors
     ///
@@ -294,7 +297,9 @@ impl ModelASolution {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::full_chip::CaseStudy;
     use crate::geometry::TtsvConfig;
+    use ttsv_linalg::DenseMatrix;
     use ttsv_units::Length;
 
     fn um(v: f64) -> Length {
@@ -311,29 +316,129 @@ mod tests {
 
     #[test]
     fn network_and_direct_transcription_agree() {
+        // `ModelA::solve` (the ladder) against the 3-plane oracle.
         let model = ModelA::with_coefficients(FittingCoefficients::paper_block());
         for (r, tl) in [(5.0, 0.5), (5.0, 3.0), (10.0, 1.0), (2.0, 0.5)] {
             let s = fig5_scenario(r, tl);
-            let net = model.solve(&s).unwrap();
+            let ladder = model.solve(&s).unwrap();
             let direct = model.solve_three_plane_direct(&s).unwrap();
             assert!(
-                (net.max_delta_t().as_kelvin() - direct.max_delta_t().as_kelvin()).abs()
-                    < 1e-9 * net.max_delta_t().as_kelvin(),
-                "r={r} tl={tl}: network {} vs direct {}",
-                net.max_delta_t(),
+                (ladder.max_delta_t().as_kelvin() - direct.max_delta_t().as_kelvin()).abs()
+                    < 1e-9 * ladder.max_delta_t().as_kelvin(),
+                "r={r} tl={tl}: ladder {} vs direct {}",
+                ladder.max_delta_t(),
                 direct.max_delta_t()
             );
             for j in 0..3 {
-                let a = net.bulk_temperatures()[j].as_kelvin();
+                let a = ladder.bulk_temperatures()[j].as_kelvin();
                 let b = direct.bulk_temperatures()[j].as_kelvin();
                 assert!((a - b).abs() < 1e-9 * a.max(1.0), "plane {j}: {a} vs {b}");
             }
         }
     }
 
+    /// Fig. 2 assembled literally for any plane count: unknowns
+    /// `[T₀, B₁, V₁, …, B_{n−1}, V_{n−1}, T_top]`, where the top plane is
+    /// one merged node whose via branch is `R_fill + R_lat` (eq. 1). Returns
+    /// the dense nodal matrix and the heat vector (W), both in that order.
+    fn fig2_nodal_system(res: &ModelAResistances, q: &[Power]) -> (DenseMatrix, Vec<f64>) {
+        let n = res.planes.len();
+        let size = 2 * n;
+        let bulk = |j: usize| if j + 1 == n { size - 1 } else { 1 + 2 * j };
+        let via = |j: usize| 2 + 2 * j;
+        let mut g = vec![vec![0.0; size]; size];
+        let mut stamp = |a: usize, b: Option<usize>, r: f64| {
+            g[a][a] += 1.0 / r;
+            if let Some(b) = b {
+                g[b][b] += 1.0 / r;
+                g[a][b] -= 1.0 / r;
+                g[b][a] -= 1.0 / r;
+            }
+        };
+        stamp(0, None, res.substrate.as_kelvin_per_watt());
+        for (j, r) in res.planes.iter().enumerate() {
+            let (below_bulk, below_via) = if j == 0 {
+                (0, 0)
+            } else {
+                (bulk(j - 1), via(j - 1))
+            };
+            stamp(bulk(j), Some(below_bulk), r.bulk.as_kelvin_per_watt());
+            if j + 1 == n {
+                stamp(
+                    bulk(j),
+                    Some(below_via),
+                    (r.fill + r.liner_lateral).as_kelvin_per_watt(),
+                );
+            } else {
+                stamp(via(j), Some(below_via), r.fill.as_kelvin_per_watt());
+                stamp(bulk(j), Some(via(j)), r.liner_lateral.as_kelvin_per_watt());
+            }
+        }
+        let mut heat = vec![0.0; size];
+        for (j, p) in q.iter().enumerate() {
+            heat[bulk(j)] = p.as_watts();
+        }
+        let rows: Vec<&[f64]> = g.iter().map(Vec::as_slice).collect();
+        (DenseMatrix::from_rows(&rows), heat)
+    }
+
+    #[test]
+    fn ladder_matches_the_literal_fig2_network_for_any_plane_count() {
+        let fits = [
+            FittingCoefficients::unity(),
+            FittingCoefficients::paper_block(),
+            CaseStudy::paper_fitting(),
+        ];
+        for planes in 2..=6 {
+            for r_um in [2.0, 8.0, 20.0] {
+                let s = Scenario::paper_block()
+                    .with_planes(planes)
+                    .with_tsv(TtsvConfig::new(um(r_um), um(0.5)))
+                    .build()
+                    .unwrap();
+                for fit in fits {
+                    let sol = ModelA::with_coefficients(fit).solve(&s).unwrap();
+                    let (g, heat) = fig2_nodal_system(sol.resistances(), s.plane_powers());
+                    let x = g.solve(&heat).unwrap();
+
+                    // The ladder's answer in the same node order.
+                    let mut t = vec![sol.t0().as_kelvin()];
+                    for j in 0..planes - 1 {
+                        t.push(sol.bulk_temperatures()[j].as_kelvin());
+                        t.push(sol.via_temperatures()[j].unwrap().as_kelvin());
+                    }
+                    t.push(sol.bulk_temperatures()[planes - 1].as_kelvin());
+                    assert_eq!(sol.via_temperatures()[planes - 1], None);
+
+                    let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * b.abs();
+                    let what = format!("{planes} planes, r = {r_um} µm, {fit:?}");
+                    for (node, (&a, &b)) in t.iter().zip(&x).enumerate() {
+                        assert!(close(a, b), "{what}: node {node}: ladder {a} vs Fig. 2 {b}");
+                    }
+                    let oracle_max = x.iter().fold(0.0f64, |m, &v| m.max(v));
+                    assert!(
+                        close(sol.max_delta_t().as_kelvin(), oracle_max),
+                        "{what}: max ΔT {} vs Fig. 2 {oracle_max}",
+                        sol.max_delta_t()
+                    );
+
+                    // KCL holds at every node of Fig. 2 for the ladder's
+                    // temperatures: the net heat imbalance is ~0 W.
+                    let kcl = g
+                        .matvec(&t)
+                        .unwrap()
+                        .iter()
+                        .zip(&heat)
+                        .fold(0.0f64, |m, (flow, q)| m.max((flow - q).abs()));
+                    assert!(kcl <= 1e-12, "{what}: KCL residual {kcl} W");
+                }
+            }
+        }
+    }
+
     #[test]
     fn t0_equals_rs_times_total_power() {
-        // Eq. (6) must hold in the network solution too.
+        // Eq. (6) must hold in the ladder solution too.
         let model = ModelA::new();
         let s = fig5_scenario(5.0, 0.5);
         let sol = model.solve(&s).unwrap();

@@ -270,16 +270,17 @@ impl crate::scenario::PowerSeparableModel for ModelB {
     }
 }
 
-/// One π-segment: resistances in K/W, heat in W.
+/// One π-segment: resistances in K/W, heat in W. Model A builds one per
+/// plane (a lumped ladder), so the fields are crate-visible.
 #[derive(Debug, Clone, Copy)]
-struct Segment {
-    r_bulk: f64,
-    r_fill: f64,
-    r_lat: f64,
+pub(crate) struct Segment {
+    pub(crate) r_bulk: f64,
+    pub(crate) r_fill: f64,
+    pub(crate) r_lat: f64,
     /// Read only by the banded test oracle; the production path takes the
     /// heat from the factorization's independent right-hand-side recipe.
     #[cfg_attr(not(test), allow(dead_code))]
-    heat: f64,
+    pub(crate) heat: f64,
 }
 
 /// Unfitted lumped substrate resistance `R_s` (eq. 16 with `k₁ = 1`).
@@ -371,8 +372,9 @@ fn build_segments(
 /// Unknowns are padded to an even count — block 0 is `(T₀, dummy)` with a
 /// decoupled unit-diagonal dummy, block `s + 1` is `(B_s, V_s)` — so T₀'s
 /// coupling to both first-segment nodes lands in the single off-diagonal
-/// block between blocks 0 and 1.
-fn solve_block_tridiag(
+/// block between blocks 0 and 1. Model A's solve runs through here too,
+/// with one lumped segment per plane.
+pub(crate) fn solve_block_tridiag(
     scenario: &Scenario,
     segmentation: &Segmentation,
     segments: &[Segment],

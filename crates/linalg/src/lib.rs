@@ -4,12 +4,13 @@
 //! scientific-computing stack, so everything the thermal models need is
 //! implemented here from scratch:
 //!
-//! * [`DenseMatrix`] with [LU](DenseMatrix::lu) (partial pivoting) — the
-//!   thermal-network KCL systems (Model A) and the multigrid
-//!   coarsest-level solve.
+//! * [`DenseMatrix`] with [LU](DenseMatrix::lu) (partial pivoting) —
+//!   Model A's direct-transcription oracle and the multigrid coarsest
+//!   level.
 //! * [`Tridiagonal`] (Thomas algorithm), [`BandedMatrix`] (banded LU), and
 //!   [`BlockTridiagonal`] (2×2 block Thomas) — Model B's π-segment ladders
-//!   are banded SPD systems, solved `O(n)` by the dedicated block kernel.
+//!   are banded SPD systems, solved `O(n)` by the dedicated block kernel;
+//!   Model A is the same ladder with one lumped segment per plane.
 //! * [`CsrMatrix`] sparse storage with [conjugate-gradient](solve_cg)
 //!   solvers and a smoothed-aggregation
 //!   [multigrid](MultigridPreconditioner) V-cycle preconditioner for the

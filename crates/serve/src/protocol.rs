@@ -99,6 +99,16 @@ pub fn parse_register(body: &[u8]) -> Result<SessionSpec, ProtocolError> {
     let planes = field(&doc, "planes")?
         .as_array()
         .ok_or_else(|| err("field \"planes\" must be an array of per-plane tile arrays"))?;
+    // Checked before any map is built: each plane must then hold `tiles`
+    // parsed entries, so every allocation below is bounded by the body
+    // size. Without it, `"planes": []` lets a huge `nx·ny` reach the
+    // scalar via-density map's allocation.
+    if planes.len() < 2 {
+        return Err(err(format!(
+            "a 3-D floorplan needs at least 2 plane power maps, got {}",
+            planes.len()
+        )));
+    }
     let plane_maps = planes
         .iter()
         .enumerate()
@@ -451,6 +461,12 @@ mod tests {
             ("not json", "malformed JSON"),
             ("{\"ny\":1,\"planes\":[],\"via_density\":0.005}", "missing field \"nx\""),
             ("{\"nx\":2,\"ny\":1,\"planes\":[[1,2]],\"via_density\":0.005}", "at least 2 plane"),
+            // Rejected before the via-density map is sized from nx·ny,
+            // which would overflow its capacity here.
+            (
+                "{\"nx\":2147483648,\"ny\":2147483648,\"planes\":[],\"via_density\":0.01}",
+                "at least 2 plane",
+            ),
             ("{\"nx\":2,\"ny\":1,\"planes\":[[1],[2]],\"via_density\":0.005}", "grid needs 2"),
             ("{\"nx\":2,\"ny\":1,\"planes\":[[1,2],[-1,0]],\"via_density\":0.005}", "non-negative"),
             ("{\"nx\":2,\"ny\":1,\"planes\":[[1,2],[1,1]],\"via_density\":2.0}", "(0, 1)"),

@@ -9,7 +9,6 @@
 //! | [`units`] | `ttsv-units` | dimensional newtypes (µm, W, K/W, ...) |
 //! | [`materials`] | `ttsv-materials` | Si/Cu/SiO₂/polyimide presets, mixing rules |
 //! | [`linalg`] | `ttsv-linalg` | dense/banded/sparse solvers, optimizers |
-//! | [`network`] | `ttsv-network` | generic thermal resistive networks |
 //! | [`fem`] | `ttsv-fem` | finite-volume reference solvers (the COMSOL stand-in) |
 //! | [`core`] | `ttsv-core` | Model A, Model B, the 1-D baseline, clustering, the DRAM-µP case study |
 //! | [`validate`] | `ttsv-validate` | FEM adapter, calibration, the paper's experiments |
@@ -89,7 +88,6 @@ pub use ttsv_core as core;
 pub use ttsv_fem as fem;
 pub use ttsv_linalg as linalg;
 pub use ttsv_materials as materials;
-pub use ttsv_network as network;
 pub use ttsv_serve as serve;
 pub use ttsv_units as units;
 pub use ttsv_validate as validate;

@@ -146,7 +146,8 @@ pub fn run_sweep(
 }
 
 /// Like [`run_sweep`] but with an explicit worker-pool size (clamped to
-/// the point count; `1` runs the sweep on a single spawned worker).
+/// the point count; `1` runs the sweep inline on the caller's thread,
+/// spawning nothing).
 /// For deterministic models, point evaluation is independent of which
 /// worker claims it, so the returned series are identical for every
 /// `workers` value — the determinism tests run the same sweep at 1 and

@@ -1,63 +1,11 @@
 //! Integration tests tying the analytical models back to first-principles
 //! network physics.
 
-use ttsv::network::{Terminal, ThermalNetwork};
 use ttsv::prelude::*;
 use ttsv::units::{Power, ThermalResistance};
 
 fn um(v: f64) -> Length {
     Length::from_micrometers(v)
-}
-
-/// Model A expressed by hand as a generic network gives the same answer as
-/// the library's builder — eqs. (1)–(6) transcribed two independent ways.
-#[test]
-fn hand_built_model_a_network_matches_library() {
-    let scenario = Scenario::paper_block()
-        .with_tsv(TtsvConfig::new(um(5.0), um(0.5)))
-        .with_ild_thickness(um(7.0))
-        .build()
-        .unwrap();
-    let fit = FittingCoefficients::paper_block();
-    let model = ModelA::with_coefficients(fit);
-    let lib = model.solve(&scenario).unwrap();
-
-    // Hand transcription of Fig. 2 using the resistances the model reports.
-    let res = lib.resistances();
-    let q = scenario.plane_powers();
-    let mut net = ThermalNetwork::new();
-    let t0 = net.add_node("t0");
-    let t1 = net.add_node("t1");
-    let t2 = net.add_node("t2");
-    let t3 = net.add_node("t3");
-    let t4 = net.add_node("t4");
-    let t5 = net.add_node("t5");
-    net.add_resistor(t0, Terminal::Ground, res.substrate);
-    net.add_resistor(t1, t0, res.planes[0].bulk); // R1
-    net.add_resistor(t2, t0, res.planes[0].fill); // R2
-    net.add_resistor(t1, t2, res.planes[0].liner_lateral); // R3
-    net.add_resistor(t3, t1, res.planes[1].bulk); // R4
-    net.add_resistor(t4, t2, res.planes[1].fill); // R5
-    net.add_resistor(t3, t4, res.planes[1].liner_lateral); // R6
-    net.add_resistor(t5, t3, res.planes[2].bulk); // R7
-    net.add_resistor(
-        t5,
-        t4,
-        res.planes[2].fill + res.planes[2].liner_lateral, // R8 + R9 in series
-    );
-    net.add_source(t1, q[0]);
-    net.add_source(t3, q[1]);
-    net.add_source(t5, q[2]);
-
-    let sol = net.solve().unwrap();
-    let hand_max = sol.max_temperature().unwrap().1.as_kelvin();
-    let lib_max = lib.max_delta_t().as_kelvin();
-    assert!(
-        (hand_max - lib_max).abs() < 1e-9 * lib_max,
-        "hand {hand_max} vs library {lib_max}"
-    );
-    // And KCL holds in the hand-built network.
-    assert!(sol.kcl_residual_max().as_watts() < 1e-12);
 }
 
 /// Energy conservation across the stack: the heat crossing into the ground

@@ -251,3 +251,32 @@ fn register_parser_survives_mutated_bodies() {
         let _ = ttsv::serve::protocol::parse_register(&corrupted);
     }
 }
+
+/// A registration with fewer than 2 planes and a huge grid is a typed
+/// 400, not a handler panic: the plane count is checked before the
+/// via-density map is sized from `nx·ny`.
+#[test]
+fn huge_grid_without_planes_answers_400_without_a_panic() {
+    use ttsv::serve::client::Client;
+    use ttsv::serve::server::{Server, ServerConfig};
+
+    let server = Server::start("127.0.0.1:0", ServerConfig::default().with_workers(1))
+        .expect("bind ephemeral port");
+    let addr = server.addr().to_string();
+    let mut client = Client::connect(&addr).expect("connect");
+    let body = "{\"nx\":2147483648,\"ny\":2147483648,\"planes\":[],\"via_density\":0.01}";
+    let (status, reply) = client.request("POST", "/sessions", body).expect("register");
+    assert_eq!(status, 400, "{reply}");
+    assert!(reply.contains("at least 2 plane"), "{reply}");
+
+    let (status, metrics) = client.request("GET", "/metrics", "").expect("metrics");
+    assert_eq!(status, 200, "{metrics}");
+    let doc: serde::json::Value = serde::json::from_str(&metrics).expect("valid JSON");
+    let panics = doc
+        .get("overload")
+        .and_then(|b| b.get("panics"))
+        .and_then(serde::json::Value::as_usize)
+        .expect("overload.panics");
+    assert_eq!(panics, 0, "the registration must not panic a handler");
+    server.shutdown();
+}
